@@ -11,15 +11,14 @@ sweep      grid of profiles -> CSV of upper/lower bounds and gaps
 
 Exit codes: 0 success / all audits pass, 1 audit or decode failure,
 2 usage error.  Output is byte-identical for identical inputs and seeds.
-The environment variable ``WTCPIR_BUDGET`` overrides the default audit
-budget when ``--budget`` is not given.
+The security verdict of ``audit`` is an exact certificate per database
+(see ``protocol.audit_security``), never a sample of observation sets.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -37,7 +36,6 @@ from .planner import (
     plan_to_table,
 )
 from .protocol import (
-    DEFAULT_AUDIT_BUDGET,
     audit_decodability,
     audit_privacy,
     audit_security,
@@ -103,21 +101,6 @@ def _parse_n(text: str, M: int, N: int):
         return derive_groups(M, N, vec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("WTCPIR_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            raise UsageError(f"WTCPIR_BUDGET must be a positive integer, got {env!r}")
-        return value
-    return DEFAULT_AUDIT_BUDGET
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -276,8 +259,7 @@ def cmd_simulate(args) -> int:
         "decoded_matches": ok,
         "desired": plan.desired,
         "seed": args.seed,
-        "stats": {k: (frac_str(v) if isinstance(v, Fraction) else v)
-                  for k, v in plan_stats(plan).items()},
+        "stats": _jsonable(plan_stats(plan)),
         "transcript": {
             "answers": [list(row) for row in transcript.answers],
             "decoded": list(transcript.decoded),
@@ -293,9 +275,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     plan = _load_plan(args.plan)
-    budget = _budget(args)
     privacy = audit_privacy(plan.M, plan.N, plan.group_sequence, plan.mu, seed=plan.seed)
-    security = audit_security(plan, budget=budget)
+    security = audit_security(plan)
     decod = audit_decodability(plan, trials=args.trials, seed=args.seed)
     status = "PASS" if all(r["status"] == "PASS" for r in (privacy, security, decod)) else "FAIL"
     report = {
@@ -372,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="upper bound, best rate, and gap")
     _add_common(p, model=True)
-    p.add_argument("--budget", type=int, help="constraint-enumeration budget")
     p.add_argument("--format", choices=["json", "table", "csv"], default="json")
     p.set_defaults(func=cmd_capacity)
 
@@ -400,11 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="privacy, security, and decodability audits")
     p.add_argument("--plan", required=True, help="path to a plan JSON document")
-    p.add_argument("--budget", type=int,
-                   help=f"observation-set budget (default {DEFAULT_AUDIT_BUDGET}, "
-                        "or WTCPIR_BUDGET)")
     p.add_argument("--trials", type=int, default=100, help="decodability trials")
-    p.add_argument("--seed", type=int, default=0, help="seed for trials and sampled sets")
+    p.add_argument("--seed", type=int, default=0, help="seed for decodability trials")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_audit)

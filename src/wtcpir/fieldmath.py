@@ -192,18 +192,24 @@ class MdsCode:
         return mat_vec(self.generator, key, self.q)
 
 
+def check_evaluation_points(t: int, q: int) -> None:
+    """Raise ``ValueError`` unless GF(q) is a prime field with t ≤ q, so
+    the t evaluation points α_i = i+1 (i = 0..t-1) are distinct mod q."""
+    if not is_prime(q):
+        raise ValueError(f"field modulus must be prime, got {q}")
+    if t > q:
+        raise ValueError(f"field too small: t={t} > q={q}; pick a larger field")
+
+
 def mds_generator(t: int, k: int, q: int) -> MdsCode:
     """Build the (t, k) Vandermonde MDS code over GF(q).
 
     Evaluation points are α_i = i+1 for i = 0..t-1, which are distinct mod q
     whenever t ≤ q; hence the precondition k ≤ t ≤ q.
     """
-    if not is_prime(q):
-        raise ValueError(f"field modulus must be prime, got {q}")
+    check_evaluation_points(t, q)
     if not 0 <= k <= t:
         raise ValueError(f"need 0 <= k <= t, got k={k}, t={t}")
-    if t > q:
-        raise ValueError(f"field too small: t={t} > q={q}; pick a larger field")
     points = tuple((i + 1) % q for i in range(t))
     gen = tuple(tuple(pow(a, j, q) for j in range(k)) for a in points)
     return MdsCode(t=t, k=k, q=q, eval_points=points, generator=gen)

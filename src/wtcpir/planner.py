@@ -496,7 +496,8 @@ def plan_stats(plan: QueryPlan) -> dict:
 
     Returns a JSON-friendly dict with the answer lengths, desired-symbol
     count, exact rate L / sum(t), and per-round stage counts per database
-    (round-k query count divided by binom(M, k)).
+    (round-k query count divided by binom(M, k): an int for complete
+    stages, otherwise an exact ``Fraction``).
     """
     t = tuple(len(qs) for qs in plan.databases)
     desired_slots = set()
@@ -513,7 +514,7 @@ def plan_stats(plan: QueryPlan) -> dict:
         stages = {}
         for k, cnt in sorted(rounds.items()):
             per_stage = comb(plan.M, k)
-            stages[k] = cnt // per_stage if cnt % per_stage == 0 else cnt / per_stage
+            stages[k] = cnt // per_stage if cnt % per_stage == 0 else Fraction(cnt, per_stage)
         if stages:
             per_round[d] = stages
     L = len(desired_slots)
@@ -648,6 +649,12 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     Queries are taken as serialized — no re-derivation or equality check —
     so edited plans load fine and are judged by the audits instead.
     Stage bookkeeping is not serialized; loaded plans render in wire order.
+
+    Raises
+    ------
+    ValueError
+        If a query's noise slot lies outside 1..t_d, the length of its
+        database's noise vector.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     version = doc.get("version")
@@ -669,6 +676,12 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         )
         for db in doc["databases"]
     )
+    for d, queries in enumerate(databases, start=1):
+        for i, qr in enumerate(queries, start=1):
+            if qr.noise_slot > len(queries):
+                raise ValueError(
+                    f"db {d} query {i}: noise slot {qr.noise_slot} outside 1..{len(queries)}"
+                )
     return QueryPlan(
         M=M,
         N=N,

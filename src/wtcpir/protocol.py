@@ -11,8 +11,9 @@ Audits check the three scheme guarantees directly on wire data:
 
 - ``audit_privacy``   — query signatures are identical for every desired
   message (the databases cannot tell retrievals apart);
-- ``audit_security``  — every tested eavesdropper observation set meets a
-  full-rank noise submatrix (observations look uniform);
+- ``audit_security``  — every eavesdropper observation set meets a
+  full-rank noise submatrix (observations look uniform), proved per
+  database by the Vandermonde MDS property or refuted by a witness set;
 - ``audit_decodability`` — randomized end-to-end retrievals decode
   exactly.
 """
@@ -22,20 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import islice
 from typing import Sequence
 
-from .fieldmath import MdsCode, mat_rank, mat_solve, mds_generator
+from .fieldmath import MdsCode, check_evaluation_points, mat_rank, mat_solve, mds_generator
 from .planner import QueryPlan, build_plan
 from .schemes import EavesdropProfile, GroupSequence
-
-#: Default ceiling on exhaustive observation-set enumeration per database.
-DEFAULT_AUDIT_BUDGET = 10_000
-
-#: Number of seeded random observation sets tested when exhaustion is out
-#: of budget.
-RANDOM_SETS_PER_DATABASE = 10_000
 
 
 @dataclass(frozen=True)
@@ -117,6 +110,9 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     each answer is the sum of its permuted message symbols plus the noise
     symbol at its noise slot.  The eavesdropper's tapped positions are a
     seeded sample of exactly mu_n * t_n wire positions per database.
+
+    Raises ``ValueError`` if the store does not fit the plan or some
+    mu_n * t_n is not an integer.
     """
     if store.M != plan.M:
         raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
@@ -135,6 +131,9 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
             positions.append(())
             views.append(())
             continue
+        size = _observation_size(plan, d)
+        if size.denominator != 1:
+            raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
         code = codes[d - 1]
         rng = random.Random(f"{key_seed}/key/{d}")
         key = tuple(rng.randrange(q) for _ in range(code.k))
@@ -146,9 +145,7 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
                 total = (total + store.messages[m - 1][plan.permutations[m - 1][s - 1] - 1]) % q
             row.append(total)
         answers.append(tuple(row))
-        size = _observation_size(plan, d)
-        k_obs = int(size) if size.denominator == 1 else int(size)
-        taps = sorted(random.Random(f"{key_seed}/view/{d}").sample(range(1, len(queries) + 1), k_obs))
+        taps = sorted(random.Random(f"{key_seed}/view/{d}").sample(range(1, len(queries) + 1), int(size)))
         positions.append(tuple(taps))
         views.append(tuple(row[p - 1] for p in taps))
     decoded = decode(plan, tuple(answers))
@@ -313,94 +310,104 @@ def audit_privacy(
     return {"audit": "privacy", "status": status, "databases": entries}
 
 
-def _tested_sets(t: int, size: int, budget: int, seed_tag: str) -> tuple[list[tuple[int, ...]], bool]:
-    """Observation sets to test at one database: everything if within
-    budget, else cyclic windows + noise-position-heavy sets + seeded
-    random sets (deduplicated)."""
-    if comb(t, size) <= budget:
-        return [tuple(c) for c in combinations(range(1, t + 1), size)], True
-    sets: set[tuple[int, ...]] = set()
-    for start in range(t):
-        sets.add(tuple(sorted((start + i) % t + 1 for i in range(size))))
-    rng = random.Random(seed_tag)
-    attempts = 0
-    target = len(sets) + RANDOM_SETS_PER_DATABASE
-    while len(sets) < target and attempts < 20 * RANDOM_SETS_PER_DATABASE:
-        sets.add(tuple(sorted(rng.sample(range(1, t + 1), size))))
-        attempts += 1
-    return sorted(sets), False
+def _first_failing_set(slots: Sequence[int], size: int, key_len: int) -> tuple[int, ...] | None:
+    """Lexicographically first set of ``size`` wire positions whose noise
+    rows are dependent, or None if every such set has full rank.
 
-
-def audit_security(plan: QueryPlan, budget: int = DEFAULT_AUDIT_BUDGET) -> dict:
-    """Check that every tested eavesdropper observation looks uniform.
-
-    Per database, the eavesdropper taps mu_n * t_n wire positions.  The
-    tapped answers are uniform and message-independent iff the noise-key
-    coefficient rows at those positions (generator rows indexed by noise
-    slots) have full rank.  Enumeration is exhaustive when
-    C(t_n, |S_n|) <= budget; otherwise a deterministic family of cyclic
-    windows, noise-heavy sets, and seeded random sets is tested.
+    A position whose noise slot lies outside 1..t names no symbol of the
+    noise codeword, so its row is zero.  Rows at distinct in-range slots
+    are Vandermonde rows at distinct points, independent whenever there
+    are at most ``key_len`` of them.  A set is therefore dependent iff it
+    is larger than the key, holds an out-of-range position, or holds two
+    positions with the same slot.  The first set containing such a core
+    is the core plus the smallest other positions.
     """
-    codes = _noise_codes(plan)
+    t = len(slots)
+    if size > key_len:
+        cores = [()]
+    else:
+        cores = []
+        first_at: dict[int, int] = {}
+        for p, slot in enumerate(slots, start=1):
+            if not 1 <= slot <= t:
+                cores.append((p,))
+            elif slot in first_at:
+                if size >= 2:
+                    cores.append((first_at[slot], p))
+            else:
+                first_at[slot] = p
+
+    def completion(core: tuple[int, ...]) -> tuple[int, ...]:
+        fill = (p for p in range(1, t + 1) if p not in core)
+        return tuple(sorted(core + tuple(islice(fill, size - len(core)))))
+
+    return min(map(completion, cores), default=None)
+
+
+def audit_security(plan: QueryPlan) -> dict:
+    """Prove that every eavesdropper observation looks uniform.
+
+    Per database, the eavesdropper taps |S_n| = mu_n * t_n wire positions.
+    The tapped answers are uniform and message-independent iff the
+    noise-key coefficient rows at those positions (generator rows indexed
+    by noise slots) have full rank.  Every minor of a Vandermonde
+    generator with distinct evaluation points (t_n <= q) is invertible,
+    so all C(t_n, |S_n|) sets have full rank iff |S_n| is at most the key
+    length, every noise slot lies in 1..t_n and, when |S_n| >= 2, the
+    noise slots are pairwise distinct (Ozarow-Wyner coset coding).  That
+    is checked in O(t_n) with no rank computation (``certificate:
+    "mds"``).  On a FAIL the entry names the lexicographically first
+    failing set, confirmed by one rank check (``certificate:
+    "witness"``).  A non-integral |S_n| fails with an empty failing set
+    (``"non-integral"``); an empty observation passes vacuously
+    (``"empty"``).  Every verdict covers all sets (``exhaustive``), and
+    ``sets_tested`` counts the rank checks run.
+
+    Raises ``ValueError`` if q is not prime or some t_n exceeds q.
+    """
     entries = []
     status = "PASS"
     for d, queries in enumerate(plan.databases, start=1):
         t_d = len(queries)
-        if t_d == 0:
-            entries.append(
-                {
-                    "database": d,
-                    "t": 0,
-                    "key_len": 0,
-                    "observation_size": 0,
-                    "sets_tested": 0,
-                    "exhaustive": True,
-                    "status": "PASS",
-                    "failing_set": None,
-                }
-            )
-            continue
+        key_len = sum(1 for qr in queries if qr.is_pure_noise)
         size_exact = _observation_size(plan, d)
         entry = {
             "database": d,
             "t": t_d,
-            "key_len": codes[d - 1].k,
+            "key_len": key_len,
             "observation_size": None,
             "sets_tested": 0,
-            "exhaustive": False,
+            "exhaustive": size_exact.denominator == 1,
             "status": "PASS",
+            "certificate": "mds",
             "failing_set": None,
         }
-        if size_exact.denominator != 1:
-            entry["status"] = "FAIL"
-            entry["failing_set"] = []
-            entry["observation_size"] = str(size_exact)
+        entries.append(entry)
+        if t_d:
+            check_evaluation_points(t_d, plan.q)
+        if not entry["exhaustive"]:
+            entry.update(observation_size=str(size_exact), status="FAIL",
+                         certificate="non-integral", failing_set=[])
             status = "FAIL"
-            entries.append(entry)
             continue
         size = int(size_exact)
         entry["observation_size"] = size
         if size == 0:
-            entry["exhaustive"] = True
-            entries.append(entry)
+            entry["certificate"] = "empty"
             continue
-        gen = codes[d - 1].generator
-        rows_at = [gen[qr.noise_slot - 1] for qr in queries]
-        sets, exhaustive = _tested_sets(t_d, size, budget, f"{plan.seed}/security/{d}")
-        entry["exhaustive"] = exhaustive
-        failing = None
-        for obs in sets:
-            rows = [list(rows_at[p - 1]) for p in obs]
-            if mat_rank(rows, plan.q) != size:
-                failing = obs
-                break
-        entry["sets_tested"] = len(sets)
-        if failing is not None:
-            entry["status"] = "FAIL"
-            entry["failing_set"] = list(failing)
-            status = "FAIL"
-        entries.append(entry)
-    return {"audit": "security", "status": status, "budget": budget, "databases": entries}
+        slots = [qr.noise_slot for qr in queries]
+        failing = _first_failing_set(slots, size, key_len)
+        if failing is None:
+            continue
+        gen = mds_generator(t_d, key_len, plan.q).generator
+        rows = [gen[slots[p - 1] - 1] if slots[p - 1] <= t_d else (0,) * key_len
+                for p in failing]
+        if mat_rank(rows, plan.q) == size:
+            raise RuntimeError(f"db {d}: failing set {list(failing)} has full rank")
+        entry.update(sets_tested=1, status="FAIL", certificate="witness",
+                     failing_set=list(failing))
+        status = "FAIL"
+    return {"audit": "security", "status": status, "databases": entries}
 
 
 def audit_decodability(plan: QueryPlan, trials: int = 100, seed: int = 0) -> dict:

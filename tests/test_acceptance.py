@@ -159,9 +159,7 @@ def test_criterion_7_worked_plan_audits_and_faults():
 
     security = audit_security(plan)
     assert security["status"] == "PASS"
-    db1, db2 = security["databases"]
-    assert db1["exhaustive"] and db1["sets_tested"] == 1820
-    assert not db2["exhaustive"] and db2["sets_tested"] >= 10_000
+    assert all(e["exhaustive"] and e["certificate"] == "mds" for e in security["databases"])
 
     decod = audit_decodability(plan, trials=100, seed=5)
     assert decod["status"] == "PASS" and decod["passed"] == 100

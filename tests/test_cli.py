@@ -111,9 +111,7 @@ def test_plan_simulate_audit_pipeline(tmp_path, capsys):
     assert sim["verdict"] == "PASS" and sim["decoded_matches"] is True
     assert sim["stats"]["rate"] == "6/17"
 
-    code, out, _ = run_cli(
-        capsys, "audit", "--plan", str(plan_path), "--trials", "10", "--budget", "2000"
-    )
+    code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path), "--trials", "10")
     assert code == 0
     rep = json.loads(out)
     assert rep["status"] == "PASS"
@@ -137,21 +135,33 @@ def test_audit_tampered_plan_exits_one(tmp_path, capsys):
     assert rep["security"]["status"] == "FAIL"
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
     plan_path = tmp_path / "plan.json"
     run_cli(
         capsys, "plan", "-M", "3", "-N", "2", "--mu", "1/4,1/2",
         "--seed", "7", "--out", str(plan_path),
     )
-    monkeypatch.setenv("WTCPIR_BUDGET", "50000")
-    code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path), "--trials", "3")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["security"]["budget"] == 50000
-    assert all(e["exhaustive"] for e in rep["security"]["databases"])
-    monkeypatch.setenv("WTCPIR_BUDGET", "bogus")
-    code, _, err = run_cli(capsys, "audit", "--plan", str(plan_path), "--trials", "3")
-    assert code == 2 and "WTCPIR_BUDGET" in err
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    doc["databases"][0]["queries"][0]["noise_slot"] = 99
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
+    assert code == 2 and out == ""
+    assert "cannot load plan" in err and "noise slot 99 outside 1..16" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "-M", "3", "-N", "2", "--mu", "1/4,1/2"],
+        ["audit", "--plan", "plan.json"],
+    ],
+)
+def test_budget_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "100"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_plan_invalid_sequence_structured_error(capsys):

@@ -1,5 +1,6 @@
 """Query-plan construction, invariants, rendering, and serialization."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -106,6 +107,15 @@ def test_stage_counts_on_wire():
     st = plan_stats(plan)
     assert st["stages_per_round"][1] == {1: 3 * sc.of(0, 1), 3: 3 * sc.of(0, 3)}
     assert st["stages_per_round"][2] == {2: 3 * sc.of(1, 2)}
+
+
+def test_stage_counts_of_incomplete_round_are_exact():
+    plan = worked_plan()
+    qs = list(plan.databases[1])
+    qs.remove(next(q for q in qs if q.round == 2))
+    short = dataclasses.replace(plan, databases=(plan.databases[0], tuple(qs)), stages=None)
+    stages = plan_stats(short)["stages_per_round"][2]
+    assert stages == {2: Fraction(8, 3)} and isinstance(stages[2], Fraction)
 
 
 def test_relabeling_privacy_of_signatures():

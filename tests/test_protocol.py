@@ -1,10 +1,14 @@
 """Retrieval execution, decoding, and the three audits."""
 
-from fractions import Fraction
+import dataclasses
+import random
+import time
+from itertools import combinations
+from math import comb
 
 import pytest
 
-from wtcpir.planner import build_plan, plan_from_json, plan_to_json
+from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json
 from wtcpir.protocol import (
     MessageStore,
     audit_decodability,
@@ -14,7 +18,7 @@ from wtcpir.protocol import (
     random_store,
     run_retrieval,
 )
-from wtcpir.schemes import EavesdropProfile
+from wtcpir.schemes import EavesdropProfile, best_scheme
 
 import faults
 from oracles import rank_gf, vandermonde
@@ -108,10 +112,124 @@ def test_decode_on_loaded_plan():
 def test_audit_security_worked_example():
     report = audit_security(worked_plan())
     assert report["status"] == "PASS"
+    assert "budget" not in report
     db1, db2 = report["databases"]
-    assert db1["exhaustive"] and db1["sets_tested"] == 1820
-    assert not db2["exhaustive"] and db2["sets_tested"] >= 10_000
+    for entry in (db1, db2):
+        assert entry["exhaustive"] and entry["sets_tested"] == 0
+        assert entry["certificate"] == "mds" and entry["failing_set"] is None
     assert db1["observation_size"] == 4 and db2["observation_size"] == 9
+    assert db1["key_len"] == 4 and db2["key_len"] == 9
+
+
+def test_audit_security_six_messages_is_fast_and_exhaustive():
+    mu = EavesdropProfile(["0", "1/4", "1/2"])
+    plan = build_plan(6, 3, (1, 2, 3, 3, 3, 3), mu, desired=1, seed=0)
+    t0 = time.perf_counter()
+    report = audit_security(plan)
+    elapsed = time.perf_counter() - t0
+    assert report["status"] == "PASS"
+    assert all(e["exhaustive"] for e in report["databases"])
+    assert [e["certificate"] for e in report["databases"]] == ["empty", "mds", "mds"]
+    assert elapsed < 0.5, elapsed
+
+
+def _exhaustive_security(plan):
+    """(status, failing_set) per database by rank-checking every
+    observation set with the independent oracle."""
+    out = []
+    for d, queries in enumerate(plan.databases, start=1):
+        t = len(queries)
+        key_len = sum(1 for qr in queries if qr.is_pure_noise)
+        size = plan.mu.mu[d - 1] * t
+        assert size.denominator == 1 and comb(t, int(size)) <= 5000
+        gen = vandermonde(t, key_len, plan.q)
+        rows = [gen[qr.noise_slot - 1] for qr in queries]
+        failing = next(
+            (
+                list(obs)
+                for obs in combinations(range(1, t + 1), int(size))
+                if rank_gf([rows[p - 1] for p in obs], plan.q) != size
+            ),
+            None,
+        )
+        out.append(("PASS" if failing is None else "FAIL", failing))
+    return out
+
+
+def _collide(plan, rng, count):
+    """Copy ``count`` random noise slots onto other positions of the same
+    database."""
+    dbs = [list(queries) for queries in plan.databases]
+    for _ in range(count):
+        qs = dbs[rng.randrange(plan.N)]
+        if len(qs) >= 2:
+            i, j = rng.sample(range(len(qs)), 2)
+            qs[i] = Query(terms=qs[i].terms, noise_slot=qs[j].noise_slot)
+    return dataclasses.replace(plan, databases=tuple(map(tuple, dbs)), stages=None)
+
+
+# (M, N, mu): observation sizes 0..6 per database, including s = 1 and
+# C(t, s) up to 1820.
+SMALL_PLANS = [
+    (2, 2, ("1/3", "1/2")),
+    (2, 2, ("1/4", "1/3")),
+    (2, 3, ("1/4", "1/2", "1/2")),
+    (3, 2, ("0", "1/4")),
+    (3, 2, ("1/3", "1/2")),
+    (3, 3, ("1/5", "1/4", "1/2")),
+    (3, 3, ("1/2", "1/2", "2/3")),
+]
+
+
+@pytest.mark.parametrize("M,N,mu", SMALL_PLANS)
+def test_audit_security_certificate_matches_exhaustive_enumeration(M, N, mu):
+    profile = EavesdropProfile(list(mu))
+    g, _ = best_scheme(M, N, profile)
+    plan = build_plan(M, N, g, profile, desired=1, seed=3)
+    rng = random.Random(f"{M}/{N}/{mu}")
+    variants = [plan] + [_collide(plan, rng, n) for n in (1, 1, 2, 4)]
+    for d in range(1, N + 1):
+        kinds = {qr.is_pure_noise for qr in plan.databases[d - 1]}
+        if kinds == {True, False}:
+            variants.append(faults.shorter_key(plan, database=d))  # s > k
+    verdicts = set()
+    for variant in variants:
+        report = audit_security(variant)
+        got = [(e["status"], e["failing_set"]) for e in report["databases"]]
+        assert got == _exhaustive_security(variant)
+        for e in report["databases"]:
+            assert e["exhaustive"]
+            assert e["sets_tested"] == (e["status"] == "FAIL")
+        verdicts.add(report["status"])
+    assert verdicts == {"PASS", "FAIL"}
+
+
+def test_audit_security_out_of_range_slot_fails_with_witness():
+    plan = worked_plan()
+    qs = list(plan.databases[0])
+    qs[9] = Query(terms=qs[9].terms, noise_slot=len(qs) + 1)
+    bad = dataclasses.replace(plan, databases=(tuple(qs),) + plan.databases[1:], stages=None)
+    entry = audit_security(bad)["databases"][0]
+    assert entry["status"] == "FAIL" and entry["certificate"] == "witness"
+    assert entry["failing_set"] == [1, 2, 3, 10] and entry["sets_tested"] == 1
+
+
+def test_audit_security_requires_distinct_evaluation_points():
+    small_field = dataclasses.replace(worked_plan(), q=17)  # t = 18 at db 2
+    with pytest.raises(ValueError, match="field too small: t=18 > q=17"):
+        audit_security(small_field)
+
+
+def test_run_retrieval_rejects_non_integral_observation_size():
+    plan = worked_plan()
+    short = dataclasses.replace(
+        plan, databases=(plan.databases[0][:-1],) + plan.databases[1:], stages=None
+    )
+    store = random_store(3, plan.dims.L, plan.q, seed=1)
+    with pytest.raises(ValueError, match="db 1: observation size mu\\*t = 15/4"):
+        run_retrieval(short, store, key_seed=1)
+    entry = audit_security(short)["databases"][0]
+    assert entry["status"] == "FAIL" and entry["certificate"] == "non-integral"
 
 
 def test_audit_security_no_eavesdropping_vacuous():
@@ -120,15 +238,6 @@ def test_audit_security_no_eavesdropping_vacuous():
     report = audit_security(plan)
     assert report["status"] == "PASS"
     assert all(e["observation_size"] == 0 for e in report["databases"])
-
-
-def test_audit_security_budget_switch():
-    plan = worked_plan()
-    exhaustive_all = audit_security(plan, budget=50_000)
-    assert all(e["exhaustive"] for e in exhaustive_all["databases"])
-    sampled_all = audit_security(plan, budget=100)
-    assert not any(e["exhaustive"] for e in sampled_all["databases"])
-    assert sampled_all["status"] == "PASS"
 
 
 def test_audit_privacy_pass_and_report_shape():
