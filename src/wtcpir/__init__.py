@@ -18,9 +18,6 @@ from .capacity import (
 )
 from .fieldmath import (
     MdsCode,
-    PrimeField,
-    mds_decode_from,
-    mds_encode,
     mds_generator,
     parse_rational,
     smallest_prime_at_least,
@@ -81,7 +78,6 @@ __all__ = [
     "PlanConstructionError",
     "PlanDimensions",
     "PlanTable",
-    "PrimeField",
     "Query",
     "QueryPlan",
     "StageCounts",
@@ -101,8 +97,6 @@ __all__ = [
     "enumerate_sequences",
     "gap",
     "inner_bound_at",
-    "mds_decode_from",
-    "mds_encode",
     "mds_generator",
     "n2_closed_form",
     "parse_rational",

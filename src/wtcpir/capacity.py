@@ -29,6 +29,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
+from .fieldmath import mat_solve, pivot
 from .schemes import (
     EavesdropProfile,
     RationalLike,
@@ -158,6 +159,8 @@ def _solve_restricted(cvecs: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, 
     guarantees termination under degeneracy).  Variables are ordered
     (tau_1..tau_N, R, s_1..s_J); the starting vertex is tau = e_1 with
     R = min_j c_j[0], whose basis is always nonsingular and feasible.
+    The last tableau row holds the reduced costs of the objective
+    "maximize R", so every pivot keeps it current.
     """
     J = len(cvecs)
     N = len(cvecs[0])
@@ -178,33 +181,22 @@ def _solve_restricted(cvecs: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, 
     norm[rhs] = Fraction(1)
     T.append(norm)
     nrows = J + 1
+    objective = [zero] * (ncols + 1)
+    objective[N] = Fraction(-1)
+    T.append(objective)
 
     jstar = min(range(J), key=lambda j: cvecs[j][0])
-    start = [0, N] + [N + 1 + j for j in range(J) if j != jstar]
+    # slack columns are unit vectors already, so pivoting them in first costs
+    # nothing and leaves only tau_1 and R to eliminate
+    start = [N + 1 + j for j in range(J) if j != jstar] + [0, N]
     basis = [-1] * nrows
-    used = [False] * nrows
     for var in start:
-        pr = next(i for i in range(nrows) if not used[i] and T[i][var] != 0)
-        piv = T[pr][var]
-        if piv != 1:
-            T[pr] = [v / piv for v in T[pr]]
-        for i in range(nrows):
-            if i != pr and T[i][var] != 0:
-                f = T[i][var]
-                T[i] = [a - f * b for a, b in zip(T[i], T[pr])]
-        used[pr] = True
+        pr = next(i for i in range(nrows) if basis[i] < 0 and T[i][var] != 0)
+        pivot(T, pr, var)
         basis[pr] = var
 
-    # reduced-cost row for the objective "maximize R"
-    z = [zero] * (ncols + 1)
-    z[N] = Fraction(-1)
-    for i, var in enumerate(basis):
-        if z[var] != 0:
-            f = z[var]
-            z = [a - f * b for a, b in zip(z, T[i])]
-
     while True:
-        enter = next((q for q in range(ncols) if z[q] < 0), None)
+        enter = next((c for c in range(ncols) if T[nrows][c] < 0), None)
         if enter is None:
             break
         ratio: Fraction | None = None
@@ -218,16 +210,7 @@ def _solve_restricted(cvecs: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, 
                     leave = i
         if leave < 0:
             raise ArithmeticError("restricted program unbounded; constraints malformed")
-        piv = T[leave][enter]
-        if piv != 1:
-            T[leave] = [v / piv for v in T[leave]]
-        for i in range(nrows):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], T[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, T[leave])]
+        pivot(T, leave, enter)
         basis[leave] = enter
 
     tau = [zero] * N
@@ -348,8 +331,9 @@ def upper_bound_by_enumeration(
             rhs.append(Fraction(0))
         rows.append([Fraction(1)] * N + [Fraction(0)])
         rhs.append(Fraction(1))
-        sol = _frac_solve(rows, rhs)
-        if sol is None:
+        try:
+            sol = mat_solve(rows, rhs, None)
+        except ValueError:
             continue
         tau, value = tuple(sol[:N]), sol[N]
         if any(v < 0 for v in tau):
@@ -367,24 +351,6 @@ def upper_bound_by_enumeration(
         if _dot(constraint_coefficients(n_vec, mu), best_tau) == best
     )
     return BoundResult(value=best, argmax_tau=best_tau, active_sequences=active)
-
-
-def _frac_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system; None if singular."""
-    n = len(rows)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class UsageError(ValueError):
     """Bad command-line input (exit code 2)."""
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def frac_decimal(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal rendering via integer arithmetic (no float)."""
     scale = 10 ** places
@@ -129,7 +125,7 @@ def _dump(report: dict, fmt: str, out: str | None) -> None:
 
 
 def _exact(x: Fraction) -> dict:
-    return {"exact": frac_str(x), "decimal": frac_decimal(x)}
+    return {"exact": str(x), "decimal": frac_decimal(x)}
 
 
 def _active_index(M: int, N: int, g) -> int:
@@ -145,11 +141,11 @@ def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:
     return {
         "M": M,
         "N": N,
-        "mu": [frac_str(v) for v in mu.mu],
+        "mu": [str(v) for v in mu.mu],
         "upper_bound": _exact(ub.value),
         "best_rate": _exact(rate),
         "gap": _exact(ub.value - rate),
-        "argmax_tau": [frac_str(v) for v in ub.argmax_tau],
+        "argmax_tau": [str(v) for v in ub.argmax_tau],
         "best_n": list(g.n),
         "active_idx": _active_index(M, N, g),
     }
@@ -192,13 +188,13 @@ def cmd_scheme(args) -> int:
     report = {
         "M": args.M,
         "N": args.N,
-        "mu": [frac_str(v) for v in mu.mu],
+        "mu": [str(v) for v in mu.mu],
         "n": list(g.n),
         "nu": dims.nu,
         "t": list(dims.t),
         "key_len": list(dims.key_len),
         "L": dims.L,
-        "tau": [frac_str(v) for v in tau],
+        "tau": [str(v) for v in tau],
         "rate": _exact(rate),
     }
     _dump(report, args.format, args.out)

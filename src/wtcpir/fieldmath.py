@@ -1,4 +1,5 @@
-"""Exact arithmetic primitives: prime fields GF(q), Vandermonde MDS codes,
+"""Exact arithmetic primitives: prime fields GF(q), one Gauss-Jordan
+elimination step shared by every exact solver, Vandermonde MDS codes,
 and rational helpers.
 
 Everything in this module is exact.  Field elements are plain ints in
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -56,110 +58,68 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field scalar arithmetic
+# Exact linear algebra: one Gauss-Jordan step over GF(q) or Q
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic over GF(q) for prime q, elements as ints in [0, q)."""
+def pivot(m: list[list], r: int, c: int, q: int | None = None) -> None:
+    """One in-place Gauss-Jordan step: scale row ``r`` so that
+    ``m[r][c] == 1``, then clear column ``c`` from every other row.
 
-    q: int
+    Over GF(q) when ``q`` is an int (entries must already lie in [0, q),
+    and stay there), over exact ``Fraction`` entries when ``q`` is None.
+    ``m[r][c]`` must be nonzero.
+    """
+    p = m[r][c]
+    if p != 1:
+        if q is None:
+            m[r] = [v / p for v in m[r]]
+        else:
+            inv = pow(p, -1, q)
+            m[r] = [v * inv % q for v in m[r]]
+    row = m[r]
+    for i, other in enumerate(m):
+        f = other[c]
+        if f and i != r:
+            if q is None:
+                m[i] = [a - f * b for a, b in zip(other, row)]
+            else:
+                m[i] = [(a - f * b) % q for a, b in zip(other, row)]
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"field modulus must be prime, got {self.q}")
-
-    def element(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return pow(a, -1, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.q, e, self.q)
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra over GF(q)
-# ---------------------------------------------------------------------------
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
-    """Exact rank of a matrix over GF(q) via Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
+    """Exact rank of a matrix over GF(q) via Gauss-Jordan elimination."""
+    m = [[v % q for v in row] for row in rows]
     rank = 0
-    col = 0
-    while rank < len(m) and col < n_cols:
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] % q != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
+    for c in range(len(m[0]) if m else 0):
+        r = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if r is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, q)
-        m[rank] = [(v * inv) % q for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] % q != 0:
-                f = m[r][col]
-                m[r] = [(a - f * b) % q for a, b in zip(m[r], m[rank])]
+        m[rank], m[r] = m[r], m[rank]
+        pivot(m, rank, c, q)
         rank += 1
-        col += 1
+        if rank == len(m):
+            break
     return rank
 
 
-def submatrix_rank(matrix: Sequence[Sequence[int]], row_set: Iterable[int], q: int) -> int:
-    """Rank over GF(q) of the rows of ``matrix`` selected by ``row_set``.
-
-    Row indices are 0-based; out-of-range indices raise ``IndexError``.
-    """
-    rows = []
-    n = len(matrix)
-    for i in row_set:
-        if not 0 <= i < n:
-            raise IndexError(f"row index {i} out of range for {n}-row matrix")
-        rows.append(matrix[i])
-    return mat_rank(rows, q)
-
-
-def mat_solve(a: Sequence[Sequence[int]], b: Sequence[int], q: int) -> list[int]:
-    """Solve the square system a·x = b over GF(q).
+def mat_solve(a: Sequence[Sequence], b: Sequence, q: int | None) -> list:
+    """Solve the square system a·x = b over GF(q), or over exact
+    rationals when ``q`` is None.
 
     Raises ``ValueError`` if the matrix is singular.
     """
     n = len(a)
-    aug = [list(row) + [bv % q] for row, bv in zip(a, b)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] % q != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("singular system over GF(q)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [(v * inv) % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % q != 0:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] % q for i in range(n)]
+    if q is None:
+        aug = [list(row) + [bv] for row, bv in zip(a, b)]
+    else:
+        aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
+    for c in range(n):
+        r = next((i for i in range(c, n) if aug[i][c]), None)
+        if r is None:
+            raise ValueError("singular system")
+        aug[c], aug[r] = aug[r], aug[c]
+        pivot(aug, c, c, q)
+    return [row[n] for row in aug]
 
 
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int], q: int) -> list[int]:
@@ -201,11 +161,13 @@ def check_evaluation_points(t: int, q: int) -> None:
         raise ValueError(f"field too small: t={t} > q={q}; pick a larger field")
 
 
+@lru_cache
 def mds_generator(t: int, k: int, q: int) -> MdsCode:
     """Build the (t, k) Vandermonde MDS code over GF(q).
 
     Evaluation points are α_i = i+1 for i = 0..t-1, which are distinct mod q
-    whenever t ≤ q; hence the precondition k ≤ t ≤ q.
+    whenever t ≤ q; hence the precondition k ≤ t ≤ q.  Memoised: the code
+    is a frozen value determined by (t, k, q), so every caller may share it.
     """
     check_evaluation_points(t, q)
     if not 0 <= k <= t:
@@ -213,16 +175,3 @@ def mds_generator(t: int, k: int, q: int) -> MdsCode:
     points = tuple((i + 1) % q for i in range(t))
     gen = tuple(tuple(pow(a, j, q) for j in range(k)) for a in points)
     return MdsCode(t=t, k=k, q=q, eval_points=points, generator=gen)
-
-
-def mds_encode(code: MdsCode, key: Sequence[int]) -> list[int]:
-    """Encode a length-k key into the full length-t noise vector u = G·key."""
-    return code.encode(key)
-
-
-def mds_decode_from(code: MdsCode, positions: Sequence[int], values: Sequence[int]) -> list[int]:
-    """Recover the key from any k codeword positions (0-based) and values."""
-    if len(positions) != code.k or len(values) != code.k:
-        raise ValueError(f"need exactly k={code.k} positions and values")
-    sub = [code.generator[p] for p in positions]
-    return mat_solve(sub, values, code.q)

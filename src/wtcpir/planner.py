@@ -128,15 +128,6 @@ class QueryPlan:
     databases: tuple[tuple[Query, ...], ...]
     stages: tuple[tuple[StageRecord, ...], ...] | None = field(compare=False)
 
-    @property
-    def shuffle_seed(self) -> int:
-        """Seed governing wire-order shuffles (the plan's master seed)."""
-        return self.seed
-
-    @property
-    def L(self) -> int:
-        return self.dims.L
-
 
 # ---------------------------------------------------------------------------
 # Construction

@@ -86,10 +86,19 @@ class Transcript:
 def _noise_codes(plan: QueryPlan) -> list[MdsCode | None]:
     """Per database, the artificial-noise code implied by the wire data
     (dimension = actual pure-noise count, so edited plans are judged on
-    what they really carry)."""
+    what they really carry).
+
+    Raises ``ValueError`` naming the database, query and slot if some
+    noise slot lies outside 1..t_d.
+    """
     codes: list[MdsCode | None] = []
-    for queries in plan.databases:
+    for d, queries in enumerate(plan.databases, start=1):
         t_d = len(queries)
+        for i, qr in enumerate(queries, start=1):
+            if not 1 <= qr.noise_slot <= t_d:
+                raise ValueError(
+                    f"db {d}: query {i} has noise slot {qr.noise_slot} outside 1..{t_d}"
+                )
         if t_d == 0:
             codes.append(None)
             continue
@@ -111,8 +120,8 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     symbol at its noise slot.  The eavesdropper's tapped positions are a
     seeded sample of exactly mu_n * t_n wire positions per database.
 
-    Raises ``ValueError`` if the store does not fit the plan or some
-    mu_n * t_n is not an integer.
+    Raises ``ValueError`` if the store does not fit the plan, some noise
+    slot lies outside 1..t_n, or some mu_n * t_n is not an integer.
     """
     if store.M != plan.M:
         raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
@@ -169,8 +178,9 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
     Raises
     ------
     ValueError
-        If noise interpolation is singular or side information is
-        missing/unresolvable (an internal error for honest plans).
+        If a noise slot lies outside 1..t_n, noise interpolation is
+        singular, or side information is missing/unresolvable (an
+        internal error for honest plans).
     """
     q = plan.q
     codes = _noise_codes(plan)
@@ -189,7 +199,7 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
         rhs = [answers[d - 1][i] for i in noise_positions]
         if code.k:
             try:
-                key = mat_solve([list(r) for r in rows], rhs, q)
+                key = mat_solve(rows, rhs, q)
             except ValueError as exc:
                 raise ValueError(
                     f"db {d}: noise interpolation is singular — plan or answers corrupted"

@@ -81,6 +81,12 @@ def test_both_routes_agree():
             a = upper_bound(M, N, mu)
             b = upper_bound_by_enumeration(M, N, mu)
             assert a.value == b.value, (M, N, mu.mu)
+    # several optimal tau here; `wtcpir capacity` prints the simplex's vertex,
+    # which Bland's rule picks (the enumeration route returns (1/3, 1/3, 1/3))
+    tie = EavesdropProfile([0, "1/2", "1/2"])
+    a = upper_bound(2, 3, tie)
+    assert (a.value, a.argmax_tau, a.active_sequences) == (Fraction(1, 2), (1, 0, 0), ((1,),))
+    assert upper_bound_by_enumeration(2, 3, tie).value == a.value
 
 
 def test_closed_form_capacity_matches_oracles():

@@ -8,16 +8,12 @@ import pytest
 
 from wtcpir.fieldmath import (
     MdsCode,
-    PrimeField,
     is_prime,
     mat_rank,
     mat_solve,
-    mds_decode_from,
-    mds_encode,
     mds_generator,
     parse_rational,
     smallest_prime_at_least,
-    submatrix_rank,
 )
 
 from oracles import rank_gf, vandermonde
@@ -50,25 +46,6 @@ def test_parse_rational_rejects_junk():
             parse_rational(bad)
 
 
-def test_prime_field_axioms_random():
-    rng = random.Random(7)
-    F = PrimeField(19)
-    for _ in range(200):
-        a, b, c = (rng.randrange(19) for _ in range(3))
-        assert F.add(a, b) == (a + b) % 19
-        assert F.sub(a, b) == (a - b) % 19
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        if a:
-            assert F.mul(a, F.inv(a)) == 1
-
-
-def test_prime_field_rejects_nonprime_and_zero_inverse():
-    with pytest.raises(ValueError):
-        PrimeField(15)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
-
-
 def test_mat_rank_matches_independent_oracle():
     rng = random.Random(3)
     for _ in range(50):
@@ -79,6 +56,8 @@ def test_mat_rank_matches_independent_oracle():
 def test_mat_rank_repeated_rows():
     rows = [[1, 2, 3], [1, 2, 3], [0, 1, 1]]
     assert mat_rank(rows, 7) == 2
+    # entries outside [0, q) are reduced: -1 = 6 and 8 = 1 mod 7
+    assert mat_rank([[-1, 8], [6, 1]], 7) == 1
 
 
 def test_mat_solve_round_trip_and_singular():
@@ -89,13 +68,11 @@ def test_mat_solve_round_trip_and_singular():
     assert mat_solve(a, b, q) == x
     with pytest.raises(ValueError, match="singular"):
         mat_solve([[1, 2], [2, 4]], [1, 2], 11)
-
-
-def test_submatrix_rank():
-    m = vandermonde(6, 3, 13)
-    assert submatrix_rank(m, [0, 2, 4], 13) == 3
-    with pytest.raises(IndexError):
-        submatrix_rank(m, [0, 99], 13)
+    # q=None solves over the rationals
+    r = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    assert mat_solve(r, [Fraction(1), Fraction(1, 2)], None) == [Fraction(1, 2), Fraction(0)]
+    with pytest.raises(ValueError, match="singular"):
+        mat_solve([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], [1, 2], None)
 
 
 def test_generator_matches_hand_vandermonde():
@@ -106,23 +83,25 @@ def test_generator_matches_hand_vandermonde():
 
 def test_encode_golden_and_zero_key():
     code = mds_generator(4, 2, 7)
-    assert mds_encode(code, (2, 3)) == [5, 1, 4, 0]
+    assert code.encode((2, 3)) == [5, 1, 4, 0]
     assert code.encode((0, 0)) == [0, 0, 0, 0]
     empty = mds_generator(3, 0, 7)
     assert empty.encode(()) == [0, 0, 0]
 
 
 def test_decode_from_any_positions():
+    # any k codeword symbols determine the key: solve the generator rows
     code = mds_generator(4, 2, 7)
-    word = mds_encode(code, (2, 3))
-    assert mds_decode_from(code, [2, 3], [word[2], word[3]]) == [2, 3]
+    word = code.encode((2, 3))
+    assert mat_solve([code.generator[2], code.generator[3]], [word[2], word[3]], 7) == [2, 3]
     rng = random.Random(5)
     big = mds_generator(12, 5, 13)
     for _ in range(20):
         key = tuple(rng.randrange(13) for _ in range(5))
         word = big.encode(key)
         pos = sorted(rng.sample(range(12), 5))
-        assert tuple(mds_decode_from(big, pos, [word[p] for p in pos])) == key
+        rows = [big.generator[p] for p in pos]
+        assert tuple(mat_solve(rows, [word[p] for p in pos], 13)) == key
 
 
 def test_every_square_submatrix_invertible():
@@ -140,6 +119,10 @@ def test_generator_errors():
         mds_generator(4, 5, 7)
     with pytest.raises(ValueError, match="field too small"):
         mds_generator(11, 2, 7)
+    # memoised codes are shared, but invalid arguments raise on every call
+    assert mds_generator(4, 2, 7) is mds_generator(4, 2, 7)
+    with pytest.raises(ValueError, match="prime"):
+        mds_generator(4, 2, 8)
 
 
 def test_code_is_frozen_dataclass():

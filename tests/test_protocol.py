@@ -214,6 +214,23 @@ def test_audit_security_out_of_range_slot_fails_with_witness():
     assert entry["failing_set"] == [1, 2, 3, 10] and entry["sets_tested"] == 1
 
 
+def test_out_of_range_noise_slot_is_rejected_by_retrieval_and_decode():
+    plan = worked_plan()
+    qs = list(plan.databases[0])
+    qs[0] = Query(terms=qs[0].terms, noise_slot=17)
+    bad = dataclasses.replace(plan, databases=(tuple(qs),) + plan.databases[1:], stages=None)
+    store = random_store(3, plan.dims.L, plan.q, seed=1)
+    msg = "db 1: query 1 has noise slot 17 outside 1..16"
+    with pytest.raises(ValueError, match=msg):
+        run_retrieval(bad, store, key_seed=1)
+    answers = run_retrieval(plan, store, key_seed=1).answers
+    with pytest.raises(ValueError, match=msg):
+        decode(bad, answers)
+    report = audit_decodability(bad, trials=3, seed=5)
+    assert report["status"] == "FAIL" and report["passed"] == 0
+    assert report["failures"][0] == {"trial": 0, "error": msg}
+
+
 def test_audit_security_requires_distinct_evaluation_points():
     small_field = dataclasses.replace(worked_plan(), q=17)  # t = 18 at db 2
     with pytest.raises(ValueError, match="field too small: t=18 > q=17"):
