@@ -25,7 +25,6 @@ from .fieldmath import (
 from .planner import (
     PURE_NOISE,
     PlanConstructionError,
-    PlanTable,
     Query,
     QueryPlan,
     StageRecord,
@@ -77,7 +76,6 @@ __all__ = [
     "PURE_NOISE",
     "PlanConstructionError",
     "PlanDimensions",
-    "PlanTable",
     "Query",
     "QueryPlan",
     "StageCounts",

@@ -17,7 +17,7 @@ Two solution routes are provided:
 - :func:`upper_bound_by_enumeration` — literal vertex enumeration: every
   vertex of the feasible polytope is the intersection of the
   normalization hyperplane with N more active constraints.  Exponentially
-  many basis sets, so it is budgeted; it exists as an independent
+  many basis sets, so their count is capped; it exists as an independent
   cross-check of the simplex route.
 """
 
@@ -39,8 +39,8 @@ from .schemes import (
 
 SequenceVector = tuple[int, ...]
 
-_SEQUENCE_BUDGET = 500_000  # default cap on N^(M-1) enumerated sequences
-_VERTEX_BUDGET = 2_000_000  # default cap on candidate basis sets
+_SEQUENCE_BUDGET = 500_000  # cap on N^(M-1) enumerated sequences
+_VERTEX_BUDGET = 2_000_000  # cap on candidate basis sets
 
 
 class EnumerationBudgetError(ValueError):
@@ -112,19 +112,10 @@ def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) ->
     return best
 
 
-def _pool(M: int, N: int, mu: EavesdropProfile) -> tuple[list[SequenceVector], list[tuple[Fraction, ...]]]:
-    """Deduplicated constraint pool, keeping the lex-first sequence of
-    each distinct coefficient vector, in enumeration order."""
-    seen: dict[tuple[Fraction, ...], int] = {}
-    seqs: list[SequenceVector] = []
-    vecs: list[tuple[Fraction, ...]] = []
-    for n_vec in sequence_vectors(M, N):
-        cv = constraint_coefficients(n_vec, mu)
-        if cv not in seen:
-            seen[cv] = len(vecs)
-            seqs.append(n_vec)
-            vecs.append(cv)
-    return seqs, vecs
+def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[Fraction, ...]]:
+    """Deduplicated constraint pool: the distinct coefficient vectors in
+    first-seen (enumeration) order."""
+    return list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
 
 
 def _prune_dominated(vecs: list[tuple[Fraction, ...]]) -> list[int]:
@@ -227,18 +218,16 @@ def _solve_restricted(cvecs: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, 
 # Public bound computations
 # ---------------------------------------------------------------------------
 
-def _check_sequence_budget(M: int, N: int, budget: int | None) -> None:
+def _check_sequence_budget(M: int, N: int) -> None:
     count = N ** (M - 1)
-    limit = _SEQUENCE_BUDGET if budget is None else budget
-    if count > limit:
+    if count > _SEQUENCE_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration too large: N^(M-1) = {count} sequences exceeds the "
-            f"budget of {limit}; for M in {{2, 3}} use closed_form_capacity, "
-            "or raise the budget explicitly"
+            f"budget of {_SEQUENCE_BUDGET}; for M in {{2, 3}} use closed_form_capacity"
         )
 
 
-def upper_bound(M: int, N: int, mu: EavesdropProfile, budget: int | None = None) -> BoundResult:
+def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     """Exact optimum of the capacity-bound LP by constraint generation.
 
     Starts from the N all-equal sequences, solves the restricted program
@@ -250,8 +239,8 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile, budget: int | None = None)
         raise ValueError("need M >= 1 and N >= 1")
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    _check_sequence_budget(M, N, budget)
-    seqs, vecs = _pool(M, N, mu)
+    _check_sequence_budget(M, N)
+    vecs = _pool(M, N, mu)
     order = {cv: i for i, cv in enumerate(vecs)}
 
     work: list[int] = []
@@ -282,33 +271,30 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile, budget: int | None = None)
     return BoundResult(value=value, argmax_tau=tau, active_sequences=active)
 
 
-def upper_bound_by_enumeration(
-    M: int, N: int, mu: EavesdropProfile, budget: int | None = None
-) -> BoundResult:
+def upper_bound_by_enumeration(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     """The same LP solved by exhaustive vertex enumeration.
 
     Every vertex is the normalization hyperplane intersected with N more
     active constraints drawn from the sequence constraints (deduplicated,
     pointwise-dominated ones dropped) and the sign constraints tau_d >= 0.
     Kept as an independent route for cross-checking; combinatorial, so a
-    budget guards the basis-set count.
+    fixed cap guards the basis-set count.
     """
     if M < 1 or N < 1:
         raise ValueError("need M >= 1 and N >= 1")
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    _check_sequence_budget(M, N, budget)
-    seqs, vecs = _pool(M, N, mu)
+    _check_sequence_budget(M, N)
+    vecs = _pool(M, N, mu)
     keep = _prune_dominated(vecs) if len(vecs) <= 5000 else list(range(len(vecs)))
     pool = [vecs[i] for i in keep]
 
     n_candidates = len(pool) + N
     basis_sets = comb(n_candidates, N)
-    limit = _VERTEX_BUDGET if budget is None else budget
-    if basis_sets > limit:
+    if basis_sets > _VERTEX_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration too large: C({n_candidates}, {N}) = {basis_sets} "
-            f"candidate basis sets exceeds the budget of {limit}; use "
+            f"candidate basis sets exceeds the budget of {_VERTEX_BUDGET}; use "
             "upper_bound (constraint generation) instead, or "
             "closed_form_capacity for M in {2, 3}"
         )
@@ -404,8 +390,8 @@ def closed_form_capacity(M: int, N: int, mu: EavesdropProfile) -> Fraction:
     return best
 
 
-def gap(M: int, N: int, mu: EavesdropProfile, budget: int | None = None) -> Fraction:
+def gap(M: int, N: int, mu: EavesdropProfile) -> Fraction:
     """Exact bound-minus-scheme gap; zero exactly when bounds match."""
-    ub = upper_bound(M, N, mu, budget=budget).value
+    ub = upper_bound(M, N, mu).value
     _, lb = best_scheme(M, N, mu)
     return ub - lb

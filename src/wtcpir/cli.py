@@ -221,7 +221,7 @@ def cmd_plan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = plan_to_json(plan)
-    table = plan_to_table(plan).markdown
+    table = plan_to_table(plan)
     if args.out:
         path = Path(args.out)
         path.write_text(doc, encoding="utf-8")

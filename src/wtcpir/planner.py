@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fieldmath import is_prime, smallest_prime_at_least
 from .schemes import (
     EavesdropProfile,
     GroupSequence,
     PlanDimensions,
-    StageCounts,
     derive_groups,
     repetition_factor,
     stage_counts,
@@ -202,75 +201,35 @@ def build_plan(
                 f"field too small: q={q} must exceed the longest answer length {t_max}"
             )
 
-    active = list(g.active_databases)
+    active = g.active_databases
     counters = {m: 0 for m in range(1, M + 1)}
 
     def fresh(m: int) -> tuple[int, int]:
         counters[m] += 1
         return (m, counters[m])
 
-    # per-database meaningful queries in construction order, plus stage
-    # bookkeeping: (repetition, round, construction indices)
-    meaningful: dict[int, list[tuple[tuple[int, int], ...]]] = {d: [] for d in active}
-    recorded: dict[int, list[tuple[int, int, list[int]]]] = {d: [] for d in active}
-    # stage objects by (rep, database, round), in construction order; each
-    # maps every k-subset of messages to the exact terms downloaded
+    # the only ledger: stages by (rep, database, round), in construction
+    # order; each maps every k-subset of messages to the terms downloaded
     stage_sets: dict[tuple[int, int, int], list[dict[frozenset[int], tuple]]] = {}
 
-    def emit(d: int, rep: int, k: int, stage: dict[frozenset[int], tuple], order: list[tuple]) -> None:
-        start = len(meaningful[d])
-        meaningful[d].extend(order)
-        recorded[d].append((rep, k, list(range(start, start + len(order)))))
-        stage_sets.setdefault((rep, d, k), []).append(stage)
-
-    def singles_stage(d: int, rep: int) -> None:
-        stage: dict[frozenset[int], tuple] = {}
-        order = []
-        for m in range(1, M + 1):
-            terms = (fresh(m),)
-            stage[frozenset({m})] = terms
-            order.append(terms)
-        emit(d, rep, 1, stage, order)
-
-    def feeder_stage(d: int, rep: int, k: int, sigma: dict[frozenset[int], tuple], group: int) -> None:
-        stage: dict[frozenset[int], tuple] = {}
-        order = []
+    def stage(d: int, rep: int, k: int, group: int, side_of) -> None:
+        """One stage: every k-subset is a sum of fresh undesired symbols, or
+        one fresh desired symbol plus the side terms ``side_of`` supplies
+        for the rest of the subset (None when there are none left)."""
+        terms_of: dict[frozenset[int], tuple] = {}
         for tup in combinations(range(1, M + 1), k):
             su = frozenset(tup)
             if desired in su:
-                side = sigma.get(su - {desired})
+                side = side_of(su - {desired})
                 if side is None:
                     raise PlanConstructionError(
                         k, group, d,
-                        f"feeder stage has no side information for {sorted(su - {desired})}",
+                        f"no side information left for {sorted(su - {desired})}",
                     )
-                terms = tuple(sorted(side + (fresh(desired),)))
+                terms_of[su] = tuple(sorted(side + (fresh(desired),)))
             else:
-                terms = tuple(fresh(m) for m in tup)
-            stage[su] = terms
-            order.append(terms)
-        emit(d, rep, k, stage, order)
-
-    def impulse_stage(d: int, rep: int, k: int, pools: dict[int, deque], group: int) -> None:
-        stage: dict[frozenset[int], tuple] = {}
-        order = []
-        for tup in combinations(range(1, M + 1), k):
-            su = frozenset(tup)
-            if desired in su:
-                side = []
-                for m in sorted(su - {desired}):
-                    if not pools[m]:
-                        raise PlanConstructionError(
-                            k, group, d,
-                            f"round-1 side-information pool exhausted for message {m}",
-                        )
-                    side.append(pools[m].popleft())
-                terms = tuple(sorted(side + [fresh(desired)]))
-            else:
-                terms = tuple(fresh(m) for m in tup)
-            stage[su] = terms
-            order.append(terms)
-        emit(d, rep, k, stage, order)
+                terms_of[su] = tuple(fresh(m) for m in tup)
+        stage_sets.setdefault((rep, d, k), []).append(terms_of)
 
     for rep in range(1, dims.nu + 1):
         for k in range(1, M + 1):
@@ -282,15 +241,17 @@ def build_plan(
                 if k == 1:
                     if group == 0:
                         for _ in range(expected):
-                            singles_stage(d, rep)
+                            stage(d, rep, 1, group, lambda rest: ())
                 elif group < k:
                     # a group-l database only participates from round l+1 on
                     for dp in active:
                         if dp == d:
                             continue
                         for sigma in stage_sets.get((rep, dp, k - 1), []):
-                            feeder_stage(d, rep, k, sigma, group)
+                            stage(d, rep, k, group, sigma.get)
                     if group >= 2 and k == group + 1:
+                        # late joiners take their side information from the
+                        # round-1 singles, first in first out
                         pools = {
                             m: deque(
                                 sigma[frozenset({m})][0]
@@ -300,8 +261,14 @@ def build_plan(
                             for m in range(1, M + 1)
                             if m != desired
                         }
+
+                        def pop(rest: frozenset[int]) -> tuple | None:
+                            if not all(pools[m] for m in rest):
+                                return None
+                            return tuple(pools[m].popleft() for m in sorted(rest))
+
                         for _ in range(g.n[0] * g.xi[group]):
-                            impulse_stage(d, rep, k, pools, group)
+                            stage(d, rep, k, group, pop)
                 built = len(stage_sets.get((rep, d, k), [])) - before
                 if built != expected:
                     raise PlanConstructionError(
@@ -323,11 +290,14 @@ def build_plan(
     databases: list[tuple[Query, ...]] = []
     stage_records: list[tuple[StageRecord, ...]] = []
     for d in range(1, N + 1):
-        if d not in meaningful:
-            databases.append(())
-            stage_records.append(())
-            continue
-        cons = meaningful[d]
+        # this database's stages in construction order (an idle one has none)
+        own = [
+            (rep, k, terms_of)
+            for rep in range(1, dims.nu + 1)
+            for k in range(1, M + 1)
+            for terms_of in stage_sets.get((rep, d, k), [])
+        ]
+        cons = [terms for _, _, terms_of in own for terms in terms_of.values()]
         t_d = dims.t[d - 1]
         key_len = dims.key_len[d - 1]
         if len(cons) + key_len != t_d:
@@ -343,12 +313,10 @@ def build_plan(
             terms = cons[ci] if ci < len(cons) else PURE_NOISE
             qs.append(Query(terms=terms, noise_slot=p + 1))
         databases.append(tuple(qs))
-        stage_records.append(
-            tuple(
-                StageRecord(rep, k, tuple(wire_of[ci] + 1 for ci in cids))
-                for rep, k, cids in recorded[d]
-            )
-        )
+        positions = (wire_of[ci] + 1 for ci in range(len(cons)))
+        stage_records.append(tuple(
+            StageRecord(rep, k, tuple(next(positions) for _ in terms_of)) for rep, k, terms_of in own
+        ))
 
     plan = QueryPlan(
         M=M,
@@ -542,18 +510,7 @@ def _render_query(qr: Query, d: int) -> str:
     return "+".join(parts + [noise])
 
 
-@dataclass(frozen=True)
-class PlanTable:
-    """Markdown rendering of a plan, one column per nonempty database."""
-
-    markdown: str
-    columns: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return self.markdown
-
-
-def plan_to_table(plan: QueryPlan) -> PlanTable:
+def plan_to_table(plan: QueryPlan) -> str:
     """Render the plan as a deterministic markdown table.
 
     Columns are the databases that download anything; rows group by
@@ -599,7 +556,7 @@ def plan_to_table(plan: QueryPlan) -> PlanTable:
     ]
     for i in range(height):
         lines.append("| " + " | ".join(col_cells[d][i] for d in columns) + " |")
-    return PlanTable(markdown="\n".join(lines) + "\n", columns=columns)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

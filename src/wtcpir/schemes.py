@@ -25,8 +25,6 @@ from typing import Iterator, Sequence, Union
 
 # All rates, traffic shares, and eavesdropping ratios in this package are
 # exact rationals; floats are rejected at the boundary.
-RationalNumber = Fraction
-
 RationalLike = Union[int, Fraction, str]
 
 

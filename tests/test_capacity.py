@@ -89,6 +89,16 @@ def test_both_routes_agree():
     assert upper_bound_by_enumeration(2, 3, tie).value == a.value
 
 
+def test_upper_bound_golden_where_scheme_falls_short():
+    # N=4, M=5: the LP optimum lies above the best scheme's rate
+    res = upper_bound(5, 4, EavesdropProfile([0, "1/9", "2/9", "1/3"]))
+    assert res.value == Fraction(2688, 4393)
+    assert res.argmax_tau == tuple(Fraction(v, 4393) for v in (910, 1008, 1152, 1323))
+    assert res.active_sequences == (
+        (1, 3, 4, 4), (1, 4, 4, 4), (2, 3, 4, 4), (2, 4, 4, 4), (3, 3, 4, 4), (3, 4, 4, 4),
+    )
+
+
 def test_closed_form_capacity_matches_oracles():
     rng = random.Random(31)
     for N in (2, 3, 4):
@@ -126,7 +136,7 @@ def test_gap_zero_small_and_soundness():
 def test_budget_error():
     mu = EavesdropProfile([0] * 5)
     with pytest.raises(EnumerationBudgetError, match="enumeration too large"):
-        upper_bound(9, 5, mu, budget=100)
+        upper_bound(10, 5, mu)
 
 
 def test_upper_bound_monotone_in_eavesdropping():
