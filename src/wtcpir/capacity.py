@@ -13,7 +13,9 @@ Two solution routes are provided:
   primal simplex (Bland's rule, ``Fraction`` arithmetic).  The restricted
   program only ever holds a handful of constraints; the candidate optimum
   is certified by evaluating every sequence, so the result is the exact
-  optimum of the full program.
+  optimum of the full program.  The pool keeps each distinct constraint
+  as an integer vector over one common denominator, so pricing a round
+  is exact integer arithmetic.
 - :func:`upper_bound_by_enumeration` — literal vertex enumeration: every
   vertex of the feasible polytope is the intersection of the
   normalization hyperplane with N more active constraints.  Exponentially
@@ -26,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .fieldmath import mat_solve, pivot
@@ -40,7 +43,7 @@ from .schemes import (
 SequenceVector = tuple[int, ...]
 
 _SEQUENCE_BUDGET = 500_000  # cap on N^(M-1) enumerated sequences
-_VERTEX_BUDGET = 2_000_000  # cap on candidate basis sets
+_VERTEX_BUDGET = 20_000  # cap on candidate basis sets (seconds at ~0.6 ms each)
 
 
 class EnumerationBudgetError(ValueError):
@@ -76,19 +79,22 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> tupl
 
     where phi(l) = sum_{d > l} (1 - mu_d) tau_d.  Collecting the tau_d
     terms gives c_d = (1 - mu_d) * (sum of 1/P_i over i with l_i < d)
-    divided by the full 1/P_i sum.
+    divided by the full 1/P_i sum.  Both sums are taken over the common
+    denominator P_{M-1}, as integer sums of the weights P_{M-1}/P_i.
     """
-    thresholds = [0] + list(n_vec)
-    inv = Fraction(1)
-    invs = [inv]
-    for v in n_vec:
-        inv /= v
-        invs.append(inv)
-    total = sum(invs)
+    weight = 1
+    by_threshold = [0] * (mu.N + 1)
+    for v in reversed(n_vec):
+        by_threshold[v] += weight
+        weight *= v
+    by_threshold[0] += weight
+    total = sum(by_threshold)
     coeffs = []
-    for d in range(1, mu.N + 1):
-        share = sum(iv for l, iv in zip(thresholds, invs) if l < d)
-        coeffs.append((1 - mu.mu[d - 1]) * share / total)
+    share = 0
+    for m, below in zip(mu.mu, by_threshold):
+        share += below
+        den = m.denominator
+        coeffs.append(Fraction((den - m.numerator) * share, den * total))
     return tuple(coeffs)
 
 
@@ -112,10 +118,22 @@ def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) ->
     return best
 
 
-def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[Fraction, ...]]:
-    """Deduplicated constraint pool: the distinct coefficient vectors in
-    first-seen (enumeration) order."""
-    return list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
+def _scaled(cv: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Integer form (a, D) of a coefficient vector: D is the lcm of its
+    denominators and a = c * D.  Canonical, so equal vectors get equal forms."""
+    D = lcm(*(v.denominator for v in cv))
+    return tuple(v.numerator * (D // v.denominator) for v in cv), D
+
+
+def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], int]]:
+    """Deduplicated constraint pool: the integer forms of the distinct
+    coefficient vectors in first-seen (enumeration) order."""
+    forms = (_scaled(constraint_coefficients(n_vec, mu)) for n_vec in sequence_vectors(M, N))
+    return list(dict.fromkeys(forms))
+
+
+def _fractions(a: Sequence[int], D: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, D) for v in a)
 
 
 def _prune_dominated(vecs: list[tuple[Fraction, ...]]) -> list[int]:
@@ -240,35 +258,36 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     _check_sequence_budget(M, N)
-    vecs = _pool(M, N, mu)
-    order = {cv: i for i, cv in enumerate(vecs)}
+    pool = _pool(M, N, mu)
+    order = {form: i for i, form in enumerate(pool)}
 
     work: list[int] = []
     for j in range(1, N + 1):
-        idx = order[constraint_coefficients((j,) * (M - 1), mu)]
+        idx = order[_scaled(constraint_coefficients((j,) * (M - 1), mu))]
         if idx not in work:
             work.append(idx)
 
+    # price every constraint at tau = t/T on integers: (a . t) / (D * T)
     while True:
-        value, tau = _solve_restricted([vecs[i] for i in work])
-        vmin: Fraction | None = None
-        argmin = -1
-        for i, cv in enumerate(vecs):
-            v = _dot(cv, tau)
-            if vmin is None or v < vmin:
-                vmin = v
-                argmin = i
-        assert vmin is not None
-        if vmin == value:
+        value, tau = _solve_restricted([_fractions(*pool[i]) for i in work])
+        T = lcm(*(v.denominator for v in tau))
+        t = [v.numerator * (T // v.denominator) for v in tau]
+        best_num, best_den, argmin = 1, 0, -1  # start at +infinity
+        for i, (a, D) in enumerate(pool):
+            num = sum(map(mul, a, t))
+            if num * best_den < best_num * D:
+                best_num, best_den, argmin = num, D, i
+        if Fraction(best_num, best_den * T) == value:
             break
         work.append(argmin)
 
-    active = tuple(
-        n_vec
-        for n_vec in sequence_vectors(M, N)
-        if _dot(constraint_coefficients(n_vec, mu), tau) == value
-    )
-    return BoundResult(value=value, argmax_tau=tau, active_sequences=active)
+    # c . tau == value  <=>  (a . t) * value_den == value_num * D * T
+    active = []
+    for n_vec in sequence_vectors(M, N):
+        a, D = _scaled(constraint_coefficients(n_vec, mu))
+        if sum(map(mul, a, t)) * value.denominator == value.numerator * D * T:
+            active.append(n_vec)
+    return BoundResult(value=value, argmax_tau=tau, active_sequences=tuple(active))
 
 
 def upper_bound_by_enumeration(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
@@ -285,7 +304,7 @@ def upper_bound_by_enumeration(M: int, N: int, mu: EavesdropProfile) -> BoundRes
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     _check_sequence_budget(M, N)
-    vecs = _pool(M, N, mu)
+    vecs = [_fractions(a, D) for a, D in _pool(M, N, mu)]
     keep = _prune_dominated(vecs) if len(vecs) <= 5000 else list(range(len(vecs)))
     pool = [vecs[i] for i in keep]
 

@@ -67,23 +67,30 @@ def pivot(m: list[list], r: int, c: int, q: int | None = None) -> None:
 
     Over GF(q) when ``q`` is an int (entries must already lie in [0, q),
     and stay there), over exact ``Fraction`` entries when ``q`` is None.
-    ``m[r][c]`` must be nonzero.
+    ``m[r][c]`` must be nonzero.  Rows are updated in place (so no two rows
+    may be the same list), and only from the first nonzero column of row
+    ``r`` on: left of it, a - f*0 = a.
     """
-    p = m[r][c]
+    row = m[r]
+    p = row[c]
+    lo = 0
+    while not row[lo]:
+        lo += 1
+    tail = row[lo:]
     if p != 1:
         if q is None:
-            m[r] = [v / p for v in m[r]]
+            tail = [v / p for v in tail]
         else:
             inv = pow(p, -1, q)
-            m[r] = [v * inv % q for v in m[r]]
-    row = m[r]
+            tail = [v * inv % q for v in tail]
+        row[lo:] = tail
     for i, other in enumerate(m):
         f = other[c]
         if f and i != r:
             if q is None:
-                m[i] = [a - f * b for a, b in zip(other, row)]
+                other[lo:] = [a - f * b for a, b in zip(other[lo:], tail)]
             else:
-                m[i] = [(a - f * b) % q for a, b in zip(other, row)]
+                other[lo:] = [(a - f * b) % q for a, b in zip(other[lo:], tail)]
 
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
@@ -114,8 +121,10 @@ def mat_solve(a: Sequence[Sequence], b: Sequence, q: int | None) -> list:
     else:
         aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
     for c in range(n):
-        r = next((i for i in range(c, n) if aug[i][c]), None)
-        if r is None:
+        r = c
+        while r < n and not aug[r][c]:
+            r += 1
+        if r == n:
             raise ValueError("singular system")
         aug[c], aug[r] = aug[r], aug[c]
         pivot(aug, c, c, q)

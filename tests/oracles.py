@@ -109,6 +109,25 @@ def n2_rate_formula(M: int, s2: int, mu) -> Fraction:
     return Fraction(num) / (den_x * x + den_y * y)
 
 
+def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
+    """LP constraint coefficients of sequence n_vec, straight from the
+    prefix-product definition in ``Fraction`` arithmetic: with P_0 = 1,
+    P_i = n_1 * ... * n_i and thresholds l_0 = 0, l_i = n_i,
+    c_d = (1 - mu_d) * (sum of 1/P_i over l_i < d) / (sum of all 1/P_i)."""
+    thresholds = [0] + list(n_vec)
+    inv = Fraction(1)
+    invs = [inv]
+    for v in n_vec:
+        inv /= v
+        invs.append(inv)
+    total = sum(invs)
+    coeffs = []
+    for d, m in enumerate(mu, start=1):
+        share = sum(iv for l, iv in zip(thresholds, invs) if l < d)
+        coeffs.append((1 - Fraction(m)) * share / total)
+    return tuple(coeffs)
+
+
 # ---------------------------------------------------------------------------
 # Linear algebra over GF(q), typed independently
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Capacity upper bounds: constraint generation, enumeration, closed forms."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,16 @@ from wtcpir.capacity import (
     constraint_coefficients,
     gap,
     inner_bound_at,
+    sequence_vectors,
     upper_bound,
     upper_bound_by_enumeration,
 )
 from wtcpir.schemes import EavesdropProfile, best_scheme
 
-from oracles import capacity_m2, capacity_m3, classic_rate, ub32
+from oracles import capacity_m2, capacity_m3, classic_rate, prefix_coefficients, ub32
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
+MU_STAR = (0, "1/9", "2/9", "1/3")
 
 
 def rand_mu(rng: random.Random, N: int) -> EavesdropProfile:
@@ -35,6 +38,18 @@ def test_constraint_coefficients_worked_values():
     }
     for seq, expected in cases.items():
         assert constraint_coefficients(seq, WORKED_MU) == expected, seq
+
+
+def test_constraint_coefficients_match_prefix_oracle():
+    # (1/6, 1/4, 1/2, 1/2): the 1 - mu_d share no common denominator
+    for profile in ((0, 0, 0, 0), MU_STAR, ("1/6", "1/4", "1/2", "1/2")):
+        for N in range(1, 5):
+            mu = EavesdropProfile(profile[:N])
+            for M in range(1, 6):
+                for seq in sequence_vectors(M, N):
+                    got = constraint_coefficients(seq, mu)
+                    assert got == prefix_coefficients(seq, mu.mu), (seq, mu.mu)
+                    assert all(type(v) is Fraction for v in got)
 
 
 def test_inner_bound_at_worked_example():
@@ -91,11 +106,18 @@ def test_both_routes_agree():
 
 def test_upper_bound_golden_where_scheme_falls_short():
     # N=4, M=5: the LP optimum lies above the best scheme's rate
-    res = upper_bound(5, 4, EavesdropProfile([0, "1/9", "2/9", "1/3"]))
+    res = upper_bound(5, 4, EavesdropProfile(MU_STAR))
     assert res.value == Fraction(2688, 4393)
     assert res.argmax_tau == tuple(Fraction(v, 4393) for v in (910, 1008, 1152, 1323))
     assert res.active_sequences == (
         (1, 3, 4, 4), (1, 4, 4, 4), (2, 3, 4, 4), (2, 4, 4, 4), (3, 3, 4, 4), (3, 4, 4, 4),
+    )
+    res = upper_bound(6, 4, EavesdropProfile(MU_STAR))
+    assert res.value == Fraction(10752, 17593)
+    assert res.argmax_tau == tuple(Fraction(v, 17593) for v in (3598, 4032, 4608, 5355))
+    assert res.active_sequences == (
+        (1, 3, 4, 4, 4), (1, 4, 4, 4, 4), (2, 3, 4, 4, 4),
+        (2, 4, 4, 4, 4), (3, 3, 4, 4, 4), (3, 4, 4, 4, 4),
     )
 
 
@@ -137,9 +159,37 @@ def test_budget_error():
     mu = EavesdropProfile([0] * 5)
     with pytest.raises(EnumerationBudgetError, match="enumeration too large"):
         upper_bound(10, 5, mu)
+    # C(62 + 4, 4) = 720 720 basis sets (minutes of solving): refused up front
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match="candidate basis sets"):
+        upper_bound_by_enumeration(4, 4, EavesdropProfile([0] * 4))
+    assert time.perf_counter() - start < 1
 
 
 def test_upper_bound_monotone_in_eavesdropping():
     weak = upper_bound(3, 2, EavesdropProfile(["1/8", "1/4"])).value
     strong = upper_bound(3, 2, WORKED_MU).value
     assert weak > strong
+
+
+def test_routes_agree_and_certify_on_random_instances():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        M = draw(st.integers(1, 4))
+        N = draw(st.integers(1, 3))
+        mu = sorted(Fraction(draw(st.integers(0, 11)), 12) for _ in range(N))
+        return M, N, EavesdropProfile(mu)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(instances())
+    def check(instance):
+        M, N, mu = instance
+        res = upper_bound(M, N, mu)
+        assert upper_bound_by_enumeration(M, N, mu).value == res.value
+        assert inner_bound_at(res.argmax_tau, mu, M) == res.value
+        assert res.value >= best_scheme(M, N, mu)[1]
+
+    check()
