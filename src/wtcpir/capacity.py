@@ -126,8 +126,9 @@ def _scaled(cv: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], int]]:
-    """Deduplicated constraint pool: the integer forms of the distinct
-    coefficient vectors in first-seen (enumeration) order."""
+    """Deduplicated constraint pool of :func:`upper_bound`: the integer
+    forms of the distinct coefficient vectors in first-seen (enumeration)
+    order."""
     forms = (_scaled(constraint_coefficients(n_vec, mu)) for n_vec in sequence_vectors(M, N))
     return list(dict.fromkeys(forms))
 
@@ -304,7 +305,7 @@ def upper_bound_by_enumeration(M: int, N: int, mu: EavesdropProfile) -> BoundRes
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     _check_sequence_budget(M, N)
-    vecs = [_fractions(a, D) for a, D in _pool(M, N, mu)]
+    vecs = list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
     keep = _prune_dominated(vecs) if len(vecs) <= 5000 else list(range(len(vecs)))
     pool = [vecs[i] for i in keep]
 

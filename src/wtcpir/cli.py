@@ -22,7 +22,6 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -48,6 +47,7 @@ from .schemes import (
     achievable_rate,
     best_scheme,
     derive_groups,
+    enumerate_sequences,
     repetition_factor,
     traffic_vector,
 )
@@ -129,19 +129,10 @@ def _exact(x: Fraction) -> dict:
 
 
 def _active_index(M: int, N: int, g) -> int:
-    """Rank of the monotone sequence ``g.n`` in ``enumerate_sequences(M, N)``
-    order: for each entry, count the sequences that agree before it and
-    hold a smaller value there (C(N - v + k, k) of them for value v
-    with k entries left)."""
-    n = tuple(g.n)
-    if len(n) != M or any(not 1 <= a <= N for a in n) or any(a > b for a, b in zip(n, n[1:])):
-        raise UsageError(f"sequence {g.n} is not a monotone scheme index")
-    idx, prev = 0, 1
-    for pos, a in enumerate(n):
-        k = M - pos - 1
-        idx += sum(comb(N - v + k, k) for v in range(prev, a))
-        prev = a
-    return idx
+    for idx, cand in enumerate(enumerate_sequences(M, N)):
+        if cand.n == g.n:
+            return idx
+    raise UsageError(f"sequence {g.n} is not a monotone scheme index")
 
 
 def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:

@@ -67,30 +67,23 @@ def pivot(m: list[list], r: int, c: int, q: int | None = None) -> None:
 
     Over GF(q) when ``q`` is an int (entries must already lie in [0, q),
     and stay there), over exact ``Fraction`` entries when ``q`` is None.
-    ``m[r][c]`` must be nonzero.  Rows are updated in place (so no two rows
-    may be the same list), and only from the first nonzero column of row
-    ``r`` on: left of it, a - f*0 = a.
+    ``m[r][c]`` must be nonzero.
     """
-    row = m[r]
-    p = row[c]
-    lo = 0
-    while not row[lo]:
-        lo += 1
-    tail = row[lo:]
+    p = m[r][c]
     if p != 1:
         if q is None:
-            tail = [v / p for v in tail]
+            m[r] = [v / p for v in m[r]]
         else:
             inv = pow(p, -1, q)
-            tail = [v * inv % q for v in tail]
-        row[lo:] = tail
+            m[r] = [v * inv % q for v in m[r]]
+    row = m[r]
     for i, other in enumerate(m):
         f = other[c]
         if f and i != r:
             if q is None:
-                other[lo:] = [a - f * b for a, b in zip(other[lo:], tail)]
+                m[i] = [a - f * b for a, b in zip(other, row)]
             else:
-                other[lo:] = [(a - f * b) % q for a, b in zip(other[lo:], tail)]
+                m[i] = [(a - f * b) % q for a, b in zip(other, row)]
 
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
@@ -121,10 +114,8 @@ def mat_solve(a: Sequence[Sequence], b: Sequence, q: int | None) -> list:
     else:
         aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
     for c in range(n):
-        r = c
-        while r < n and not aug[r][c]:
-            r += 1
-        if r == n:
+        r = next((i for i in range(c, n) if aug[i][c]), None)
+        if r is None:
             raise ValueError("singular system")
         aug[c], aug[r] = aug[r], aug[c]
         pivot(aug, c, c, q)

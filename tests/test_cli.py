@@ -1,12 +1,10 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from wtcpir.cli import UsageError, _active_index, main
-from wtcpir.schemes import enumerate_sequences
+from wtcpir.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -66,16 +64,6 @@ def test_scheme_explicit_sequence(capsys):
     )
     assert code == 0
     assert json.loads(out)["n"] == [2, 2, 2]
-
-
-def test_active_index_closed_form_matches_enumeration():
-    for M in range(1, 7):
-        for N in range(1, 6):
-            for idx, g in enumerate(enumerate_sequences(M, N)):
-                assert _active_index(M, N, g) == idx, (M, N, g.n)
-    for bad in ((2, 1, 3), (0, 1, 2), (1, 2, 4), (1, 2)):
-        with pytest.raises(UsageError, match="not a monotone scheme index"):
-            _active_index(3, 3, SimpleNamespace(n=bad))
 
 
 def test_unsorted_mu_is_usage_error_with_hint(capsys):
