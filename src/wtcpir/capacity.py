@@ -10,12 +10,13 @@ the N-simplex.  Each sequence contributes one linear constraint
 Two solution routes are provided:
 
 - :func:`upper_bound` — delayed constraint generation around an exact
-  primal simplex (Bland's rule, ``Fraction`` arithmetic).  The restricted
-  program only ever holds a handful of constraints; the candidate optimum
-  is certified by evaluating every sequence, so the result is the exact
-  optimum of the full program.  The pool keeps each distinct constraint
-  as an integer vector over one common denominator, so pricing a round
-  is exact integer arithmetic.
+  primal simplex (Bland's rule, on a fraction-free integer tableau).  The
+  restricted program only ever holds a handful of constraints; the
+  candidate optimum is certified by evaluating every sequence, so the
+  result is the exact optimum of the full program.  The pool keeps each
+  distinct constraint as an integer vector over one common denominator,
+  so pricing a round and every simplex pivot are exact integer
+  arithmetic.
 - :func:`upper_bound_by_enumeration` — literal vertex enumeration: every
   vertex of the feasible polytope is the intersection of the
   normalization hyperplane with N more active constraints.  Exponentially
@@ -32,7 +33,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .fieldmath import mat_solve, pivot
+from .fieldmath import mat_solve
 from .schemes import (
     EavesdropProfile,
     RationalLike,
@@ -133,10 +134,6 @@ def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], i
     return list(dict.fromkeys(forms))
 
 
-def _fractions(a: Sequence[int], D: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, D) for v in a)
-
-
 def _prune_dominated(vecs: list[tuple[Fraction, ...]]) -> list[int]:
     """Indices of constraints not pointwise-dominated by another.
 
@@ -162,74 +159,86 @@ def _prune_dominated(vecs: list[tuple[Fraction, ...]]) -> list[int]:
 # Exact restricted simplex
 # ---------------------------------------------------------------------------
 
-def _solve_restricted(cvecs: Sequence[tuple[Fraction, ...]]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact optimum of: max R s.t. R <= c_j . tau for all j, tau in simplex.
+def _solve_restricted(forms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact optimum of: max R s.t. R <= c_j . tau for all j, tau in simplex,
+    with each c_j given in integer form (a_j, D_j), c_j = a_j / D_j.
 
-    Full-tableau primal simplex over Fractions with Bland's rule (which
-    guarantees termination under degeneracy).  Variables are ordered
-    (tau_1..tau_N, R, s_1..s_J); the starting vertex is tau = e_1 with
-    R = min_j c_j[0], whose basis is always nonsingular and feasible.
-    The last tableau row holds the reduced costs of the objective
-    "maximize R", so every pivot keeps it current.
+    Full-tableau primal simplex with Bland's rule (which guarantees
+    termination under degeneracy), kept fraction-free: the tableau is an
+    integer matrix over one positive common denominator ``det``, and each
+    pivot divides exactly (Edmonds 1967, Bareiss 1968), so no entry ever
+    needs a gcd.  Variables are ordered (tau_1..tau_N, R, s_1..s_J); row j
+    reads -a_j . tau + D_j R + s_j = 0, which scales constraint j and its
+    slack by D_j > 0 and so changes no sign and no ratio order.  The
+    starting vertex is tau = e_1 with R = min_j c_j[0]; its basis is
+    nonsingular and feasible.  The last tableau row holds the reduced
+    costs of the objective "maximize R", so every pivot keeps it current.
     """
-    J = len(cvecs)
-    N = len(cvecs[0])
+    J = len(forms)
+    N = len(forms[0][0])
     ncols = N + 1 + J
     rhs = ncols
-    zero = Fraction(0)
-    T: list[list[Fraction]] = []
-    for j, cv in enumerate(cvecs):
-        row = [zero] * (ncols + 1)
-        for d in range(N):
-            row[d] = -cv[d]
-        row[N] = Fraction(1)
-        row[N + 1 + j] = Fraction(1)
+    T: list[list[int]] = []
+    for j, (a, D) in enumerate(forms):
+        row = [-v for v in a] + [D] + [0] * (J + 1)
+        row[N + 1 + j] = 1
         T.append(row)
-    norm = [zero] * (ncols + 1)
-    for d in range(N):
-        norm[d] = Fraction(1)
-    norm[rhs] = Fraction(1)
-    T.append(norm)
+    T.append([1] * N + [0] * (J + 1) + [1])
     nrows = J + 1
-    objective = [zero] * (ncols + 1)
-    objective[N] = Fraction(-1)
-    T.append(objective)
+    T.append([0] * N + [-1] + [0] * (J + 1))
 
-    jstar = min(range(J), key=lambda j: cvecs[j][0])
-    # slack columns are unit vectors already, so pivoting them in first costs
-    # nothing and leaves only tau_1 and R to eliminate
-    start = [N + 1 + j for j in range(J) if j != jstar] + [0, N]
-    basis = [-1] * nrows
-    for var in start:
-        pr = next(i for i in range(nrows) if basis[i] < 0 and T[i][var] != 0)
-        pivot(T, pr, var)
-        basis[pr] = var
+    # the slack columns are unit vectors, so the slacks start basic for free
+    # and only tau_1 and R need pivots
+    jstar = min(range(J), key=lambda j: Fraction(forms[j][0][0], forms[j][1]))
+    basis = [N + 1 + j for j in range(J)] + [-1]
+    basis[jstar] = -1
+    det = 1
+
+    def step(r: int, c: int) -> None:
+        # fraction-free Gauss-Jordan step; the pivot row is negated when
+        # needed so that det stays positive and reduced costs keep their sign
+        nonlocal det
+        row = T[r]
+        p = row[c]
+        if p < 0:
+            p = -p
+            row = T[r] = [-v for v in row]
+        for i, other in enumerate(T):
+            if i != r:
+                f = other[c]
+                if f:
+                    T[i] = [(p * x - f * y) // det for x, y in zip(other, row)]
+                elif p != det:
+                    T[i] = [p * x // det for x in other]
+        det = p
+        basis[r] = c
+
+    for var in (0, N):
+        step(next(i for i in range(nrows) if basis[i] < 0 and T[i][var] != 0), var)
 
     while True:
         enter = next((c for c in range(ncols) if T[nrows][c] < 0), None)
         if enter is None:
             break
-        ratio: Fraction | None = None
-        leave = -1
+        # min ratio b_i / a_i over a_i > 0, compared by cross-multiplication
+        leave, la, lb = -1, 1, 0
         for i in range(nrows):
             a = T[i][enter]
             if a > 0:
-                r = T[i][rhs] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
+                b = T[i][rhs]
+                if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, la, lb = i, a, b
         if leave < 0:
             raise ArithmeticError("restricted program unbounded; constraints malformed")
-        pivot(T, leave, enter)
-        basis[leave] = enter
+        step(leave, enter)
 
-    tau = [zero] * N
-    value = zero
+    tau = [Fraction(0)] * N
+    value = Fraction(0)
     for i, var in enumerate(basis):
         if var < N:
-            tau[var] = T[i][rhs]
+            tau[var] = Fraction(T[i][rhs], det)
         elif var == N:
-            value = T[i][rhs]
+            value = Fraction(T[i][rhs], det)
     return value, tuple(tau)
 
 
@@ -270,7 +279,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
 
     # price every constraint at tau = t/T on integers: (a . t) / (D * T)
     while True:
-        value, tau = _solve_restricted([_fractions(*pool[i]) for i in work])
+        value, tau = _solve_restricted([pool[i] for i in work])
         T = lcm(*(v.denominator for v in tau))
         t = [v.numerator * (T // v.denominator) for v in tau]
         best_num, best_den, argmin = 1, 0, -1  # start at +infinity

@@ -1,6 +1,6 @@
 """Exact arithmetic primitives: prime fields GF(q), one Gauss-Jordan
-elimination step shared by every exact solver, Vandermonde MDS codes,
-and rational helpers.
+elimination step shared by GF(q) rank and solve and the rational solve,
+Vandermonde MDS codes, and rational helpers.
 
 Everything in this module is exact.  Field elements are plain ints in
 [0, q) with an explicit prime modulus, matrices are lists of row lists,

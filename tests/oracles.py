@@ -129,6 +129,76 @@ def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Restricted capacity LP over Fraction, typed independently
+# ---------------------------------------------------------------------------
+
+def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact optimum of max R s.t. R <= c_j . tau for all j, tau in the
+    simplex: a full-tableau primal simplex over ``Fraction`` entries, with
+    the same start vertex (tau = e_1 on the first row minimizing c_j[0]),
+    Bland's entering rule and the lowest-basis-index tie rule as
+    ``capacity._solve_restricted``.  Variables are ordered
+    (tau_1..tau_N, R, s_1..s_J)."""
+    J = len(cvecs)
+    N = len(cvecs[0])
+    ncols = N + 1 + J
+    rhs = ncols
+    T = []
+    for j, cv in enumerate(cvecs):
+        row = [Fraction(0)] * (ncols + 1)
+        for d in range(N):
+            row[d] = -Fraction(cv[d])
+        row[N] = Fraction(1)
+        row[N + 1 + j] = Fraction(1)
+        T.append(row)
+    T.append([Fraction(1)] * N + [Fraction(0)] * (J + 1) + [Fraction(1)])
+    T.append([Fraction(0)] * N + [Fraction(-1)] + [Fraction(0)] * (J + 1))
+    nrows = J + 1
+
+    def pivot(r, c):
+        T[r] = [v / T[r][c] for v in T[r]]
+        for i in range(len(T)):
+            f = T[i][c]
+            if i != r and f:
+                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+
+    jstar = min(range(J), key=lambda j: cvecs[j][0])
+    start = [N + 1 + j for j in range(J) if j != jstar] + [0, N]
+    basis = [-1] * nrows
+    for var in start:
+        pr = next(i for i in range(nrows) if basis[i] < 0 and T[i][var] != 0)
+        pivot(pr, var)
+        basis[pr] = var
+
+    while True:
+        enter = next((c for c in range(ncols) if T[nrows][c] < 0), None)
+        if enter is None:
+            break
+        ratio = None
+        leave = -1
+        for i in range(nrows):
+            a = T[i][enter]
+            if a > 0:
+                r = T[i][rhs] / a
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("restricted program unbounded; constraints malformed")
+        pivot(leave, enter)
+        basis[leave] = enter
+
+    tau = [Fraction(0)] * N
+    value = Fraction(0)
+    for i, var in enumerate(basis):
+        if var < N:
+            tau[var] = T[i][rhs]
+        elif var == N:
+            value = T[i][rhs]
+    return value, tuple(tau)
+
+
+# ---------------------------------------------------------------------------
 # Linear algebra over GF(q), typed independently
 # ---------------------------------------------------------------------------
 

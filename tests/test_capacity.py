@@ -3,9 +3,11 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from wtcpir import capacity
 from wtcpir.capacity import (
     EnumerationBudgetError,
     closed_form_capacity,
@@ -18,7 +20,7 @@ from wtcpir.capacity import (
 )
 from wtcpir.schemes import EavesdropProfile, best_scheme
 
-from oracles import capacity_m2, capacity_m3, classic_rate, prefix_coefficients, ub32
+from oracles import capacity_m2, capacity_m3, classic_rate, fraction_simplex, prefix_coefficients, ub32
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU_STAR = (0, "1/9", "2/9", "1/3")
@@ -126,6 +128,59 @@ def test_upper_bound_golden_where_scheme_falls_short():
         (1, 3, 4, 4, 4), (1, 4, 4, 4, 4), (2, 3, 4, 4, 4),
         (2, 4, 4, 4, 4), (3, 3, 4, 4, 4), (3, 4, 4, 4, 4),
     )
+    res = upper_bound(7, 4, EavesdropProfile(MU_STAR))
+    assert res.value == Fraction(43008, 70393)
+    assert res.argmax_tau == tuple(Fraction(v, 70393) for v in (14350, 16128, 18432, 21483))
+    assert res.active_sequences == (
+        (1, 3, 4, 4, 4, 4), (1, 4, 4, 4, 4, 4), (2, 3, 4, 4, 4, 4),
+        (2, 4, 4, 4, 4, 4), (3, 3, 4, 4, 4, 4), (3, 4, 4, 4, 4, 4),
+    )
+    # the known N=4 gap between the LP and the best scheme
+    assert gap(5, 4, EavesdropProfile(MU_STAR)) == Fraction(4480, 102932383)
+
+
+def _outcome(solve, program):
+    try:
+        return solve(program)
+    except Exception as exc:  # the two solvers must fail alike, too
+        return type(exc), str(exc)
+
+
+def test_integer_simplex_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(43)
+    programs = []
+    for _ in range(3000):
+        N, J = rng.randint(1, 4), rng.randint(1, 8)
+        programs.append([
+            [Fraction(rng.randrange(5), rng.choice((1, 2, 3, 4, 6, 12))) for _ in range(N)]
+            for _ in range(J)
+        ])
+    # plus every restricted program the LP solves at (5,4) and (6,4) mu*
+    recorded = []
+    solve = capacity._solve_restricted
+
+    def record(forms):
+        recorded.append(forms)
+        return solve(forms)
+
+    monkeypatch.setattr(capacity, "_solve_restricted", record)
+    upper_bound(5, 4, EavesdropProfile(MU_STAR))
+    upper_bound(6, 4, EavesdropProfile(MU_STAR))
+    assert len(recorded) > 2
+    programs += [[[Fraction(v, D) for v in a] for a, D in forms] for forms in recorded]
+    for cvecs in programs:
+        # the pool's integer form: D the lcm of the denominators, a = c * D
+        forms = []
+        for cv in cvecs:
+            D = lcm(*(v.denominator for v in cv))
+            forms.append((tuple(v.numerator * (D // v.denominator) for v in cv), D))
+        assert _outcome(solve, forms) == _outcome(fraction_simplex, cvecs), cvecs
+    # a degenerate ratio tie: the lowest-basis-index rule picks the leaving
+    # row, and with it the optimal vertex (the other row ends at tau = e_2);
+    # row 1 is over 12, not its lcm 2, which must change nothing
+    tie = [((0, 24, 18, 24), 12), ((1, 3, 3, 0), 12), ((1, 3, 36, 0), 12)]
+    want = (Fraction(1, 4), (0, 0, 1, 0))
+    assert solve(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
 
 
 def test_closed_form_capacity_matches_oracles():
