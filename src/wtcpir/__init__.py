@@ -13,8 +13,8 @@ from .capacity import (
     constraint_coefficients,
     gap,
     inner_bound_at,
+    outer_bound_at,
     upper_bound,
-    upper_bound_by_enumeration,
 )
 from .fieldmath import (
     MdsCode,
@@ -97,6 +97,7 @@ __all__ = [
     "inner_bound_at",
     "mds_generator",
     "n2_closed_form",
+    "outer_bound_at",
     "parse_rational",
     "plan_dimensions_per_rep",
     "plan_from_json",
@@ -111,5 +112,4 @@ __all__ = [
     "stage_counts",
     "traffic_vector",
     "upper_bound",
-    "upper_bound_by_enumeration",
 ]

@@ -7,33 +7,34 @@ the N-simplex.  Each sequence contributes one linear constraint
 ``R <= c(n) . tau``, so the whole thing is a small linear program in
 ``(tau, R)`` and can be solved exactly over rationals.
 
-Two solution routes are provided:
+The LP is solved by delayed constraint generation around an exact
+primal simplex (Bland's rule, on a fraction-free integer tableau).  The
+restricted program only ever holds a handful of constraints; the
+candidate optimum is certified by evaluating every sequence, so the
+result is the exact optimum of the full program.  The pool keeps each
+distinct constraint as an integer vector over one common denominator,
+so pricing a round and every simplex pivot are exact integer arithmetic.
 
-- :func:`upper_bound` — delayed constraint generation around an exact
-  primal simplex (Bland's rule, on a fraction-free integer tableau).  The
-  restricted program only ever holds a handful of constraints; the
-  candidate optimum is certified by evaluating every sequence, so the
-  result is the exact optimum of the full program.  The pool keeps each
-  distinct constraint as an integer vector over one common denominator,
-  so pricing a round and every simplex pivot are exact integer
-  arithmetic.
-- :func:`upper_bound_by_enumeration` — literal vertex enumeration: every
-  vertex of the feasible polytope is the intersection of the
-  normalization hyperplane with N more active constraints.  Exponentially
-  many basis sets, so their count is capped; it exists as an independent
-  cross-check of the simplex route.
+Every bound comes with both halves of its own certificate:
+
+- the maximizing ``tau``, for which :func:`inner_bound_at` evaluates
+  every sequence and shows that the LP reaches the value;
+- the dual weights read off the final tableau, a convex combination of
+  at most N sequence constraints.  Their combined coefficient vector is
+  at most the value in every coordinate.  So :func:`outer_bound_at`
+  shows that no ``tau`` does better, in at most N constraint
+  evaluations and without trusting the simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, lcm
+from itertools import product
+from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .fieldmath import mat_solve
 from .schemes import (
     EavesdropProfile,
     RationalLike,
@@ -44,7 +45,6 @@ from .schemes import (
 SequenceVector = tuple[int, ...]
 
 _SEQUENCE_BUDGET = 500_000  # cap on N^(M-1) enumerated sequences
-_VERTEX_BUDGET = 20_000  # cap on candidate basis sets (seconds at ~0.6 ms each)
 
 
 class EnumerationBudgetError(ValueError):
@@ -54,11 +54,13 @@ class EnumerationBudgetError(ValueError):
 @dataclass(frozen=True)
 class BoundResult:
     """Exact LP optimum: the bound value, a maximizing download-share
-    vector, and every sequence whose constraint is tight there."""
+    vector, every sequence whose constraint is tight there, and the dual
+    weights: each support constraint's first sequence with its weight."""
 
     value: Fraction
     argmax_tau: tuple[Fraction, ...]
     active_sequences: tuple[SequenceVector, ...]
+    dual_weights: tuple[tuple[SequenceVector, Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,25 @@ def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) ->
     return best
 
 
+def outer_bound_at(weights: Sequence[tuple[SequenceVector, RationalLike]], mu: EavesdropProfile) -> Fraction:
+    """Exact max over d of (sum_j lambda_j c(n_j))_d for dual weights
+    (n_j, lambda_j) on the simplex.
+
+    By weak duality this bounds the LP from above for any such weights, so
+    ``inner_bound_at(tau) <= LP <= outer_bound_at(weights)``, and equality
+    of the two ends certifies the optimum.
+    """
+    lams = [as_fraction(w) for _, w in weights]
+    if any(v < 0 for v in lams) or sum(lams) != 1:
+        raise ValueError("dual weights outside the simplex")
+    if len({len(n_vec) for n_vec, _ in weights}) != 1:
+        raise ValueError("dual weights name sequences of unequal length")
+    if any(not 1 <= v <= mu.N for n_vec, _ in weights for v in n_vec):
+        raise ValueError(f"dual weights name a sequence entry outside 1..{mu.N}")
+    coeffs = [constraint_coefficients(n_vec, mu) for n_vec, _ in weights]
+    return max(_dot(lams, column) for column in zip(*coeffs))
+
+
 def _scaled(cv: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """Integer form (a, D) of a coefficient vector: D is the lcm of its
     denominators and a = c * D.  Canonical, so equal vectors get equal forms."""
@@ -134,34 +155,16 @@ def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], i
     return list(dict.fromkeys(forms))
 
 
-def _prune_dominated(vecs: list[tuple[Fraction, ...]]) -> list[int]:
-    """Indices of constraints not pointwise-dominated by another.
-
-    Constraint j is redundant when some j' has c_{j'} <= c_j in every
-    coordinate (then R <= c_{j'} . tau already implies R <= c_j . tau on
-    tau >= 0).  Quadratic scan; call sites keep the pool small.
-    """
-    keep = []
-    for j, cj in enumerate(vecs):
-        dominated = False
-        for i, ci in enumerate(vecs):
-            if i == j:
-                continue
-            if all(a <= b for a, b in zip(ci, cj)) and ci != cj:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(j)
-    return keep
-
-
 # ---------------------------------------------------------------------------
 # Exact restricted simplex
 # ---------------------------------------------------------------------------
 
-def _solve_restricted(forms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _solve_restricted(
+    forms: Sequence[tuple[tuple[int, ...], int]],
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact optimum of: max R s.t. R <= c_j . tau for all j, tau in simplex,
     with each c_j given in integer form (a_j, D_j), c_j = a_j / D_j.
+    Returns the value, tau and one dual weight per constraint.
 
     Full-tableau primal simplex with Bland's rule (which guarantees
     termination under degeneracy), kept fraction-free: the tableau is an
@@ -173,6 +176,8 @@ def _solve_restricted(forms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Fra
     starting vertex is tau = e_1 with R = min_j c_j[0]; its basis is
     nonsingular and feasible.  The last tableau row holds the reduced
     costs of the objective "maximize R", so every pivot keeps it current.
+    At the optimum, slack j's reduced cost is the dual weight of row j over
+    D_j * det, since the row was scaled by D_j and its slack was not.
     """
     J = len(forms)
     N = len(forms[0][0])
@@ -239,7 +244,8 @@ def _solve_restricted(forms: Sequence[tuple[tuple[int, ...], int]]) -> tuple[Fra
             tau[var] = Fraction(T[i][rhs], det)
         elif var == N:
             value = Fraction(T[i][rhs], det)
-    return value, tuple(tau)
+    weights = tuple(Fraction(D * T[nrows][N + 1 + j], det) for j, (_, D) in enumerate(forms))
+    return value, tuple(tau), weights
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +268,8 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     exactly, and adds the most-violated constraint (lex-smallest on ties)
     until the restricted optimum survives evaluation against every
     sequence — at which point it is the exact optimum of the full LP.
+    The final tableau's dual weights come with it; :func:`outer_bound_at`
+    checks them.
     """
     if M < 1 or N < 1:
         raise ValueError("need M >= 1 and N >= 1")
@@ -279,7 +287,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
 
     # price every constraint at tau = t/T on integers: (a . t) / (D * T)
     while True:
-        value, tau = _solve_restricted([pool[i] for i in work])
+        value, tau, weights = _solve_restricted([pool[i] for i in work])
         T = lcm(*(v.denominator for v in tau))
         t = [v.numerator * (T // v.denominator) for v in tau]
         best_num, best_den, argmin = 1, 0, -1  # start at +infinity
@@ -291,81 +299,19 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
             break
         work.append(argmin)
 
-    # c . tau == value  <=>  (a . t) * value_den == value_num * D * T
-    active = []
+    # c . tau == value  <=>  (a . t) * value_den == value_num * D * T.
+    # By complementary slackness every support constraint is tight, so only
+    # tight sequences look it up; each support form keeps its first sequence.
+    support = {pool[i]: w for i, w in zip(work, weights) if w}
+    active, duals = [], []
     for n_vec in sequence_vectors(M, N):
-        a, D = _scaled(constraint_coefficients(n_vec, mu))
+        form = _scaled(constraint_coefficients(n_vec, mu))
+        a, D = form
         if sum(map(mul, a, t)) * value.denominator == value.numerator * D * T:
             active.append(n_vec)
-    return BoundResult(value=value, argmax_tau=tau, active_sequences=tuple(active))
-
-
-def upper_bound_by_enumeration(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
-    """The same LP solved by exhaustive vertex enumeration.
-
-    Every vertex is the normalization hyperplane intersected with N more
-    active constraints drawn from the sequence constraints (deduplicated,
-    pointwise-dominated ones dropped) and the sign constraints tau_d >= 0.
-    Kept as an independent route for cross-checking; combinatorial, so a
-    fixed cap guards the basis-set count.
-    """
-    if M < 1 or N < 1:
-        raise ValueError("need M >= 1 and N >= 1")
-    if mu.N != N:
-        raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    _check_sequence_budget(M, N)
-    vecs = list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
-    keep = _prune_dominated(vecs) if len(vecs) <= 5000 else list(range(len(vecs)))
-    pool = [vecs[i] for i in keep]
-
-    n_candidates = len(pool) + N
-    basis_sets = comb(n_candidates, N)
-    if basis_sets > _VERTEX_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration too large: C({n_candidates}, {N}) = {basis_sets} "
-            f"candidate basis sets exceeds the budget of {_VERTEX_BUDGET}; use "
-            "upper_bound (constraint generation) instead, or "
-            "closed_form_capacity for M in {2, 3}"
-        )
-
-    best: Fraction | None = None
-    best_tau: tuple[Fraction, ...] | None = None
-    # candidate active sets: indices < len(pool) are sequence constraints
-    # (R - c_j . tau = 0), the rest are sign constraints tau_d = 0
-    for combo in combinations(range(n_candidates), N):
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for c in combo:
-            if c < len(pool):
-                rows.append([-v for v in pool[c]] + [Fraction(1)])
-            else:
-                d = c - len(pool)
-                row = [Fraction(0)] * (N + 1)
-                row[d] = Fraction(1)
-                rows.append(row)
-            rhs.append(Fraction(0))
-        rows.append([Fraction(1)] * N + [Fraction(0)])
-        rhs.append(Fraction(1))
-        try:
-            sol = mat_solve(rows, rhs, None)
-        except ValueError:
-            continue
-        tau, value = tuple(sol[:N]), sol[N]
-        if any(v < 0 for v in tau):
-            continue
-        if any(_dot(cv, tau) < value for cv in pool):
-            continue
-        if best is None or value > best:
-            best = value
-            best_tau = tau
-    if best is None or best_tau is None:
-        raise ArithmeticError("no feasible vertex found; constraints malformed")
-    active = tuple(
-        n_vec
-        for n_vec in sequence_vectors(M, N)
-        if _dot(constraint_coefficients(n_vec, mu), best_tau) == best
-    )
-    return BoundResult(value=best, argmax_tau=best_tau, active_sequences=active)
+            if form in support:
+                duals.append((n_vec, support.pop(form)))
+    return BoundResult(value=value, argmax_tau=tau, active_sequences=tuple(active), dual_weights=tuple(duals))
 
 
 # ---------------------------------------------------------------------------

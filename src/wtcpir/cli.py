@@ -399,9 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

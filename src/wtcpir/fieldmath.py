@@ -1,6 +1,6 @@
 """Exact arithmetic primitives: prime fields GF(q), one Gauss-Jordan
-elimination step shared by GF(q) rank and solve and the rational solve,
-Vandermonde MDS codes, and rational helpers.
+elimination step over GF(q) shared by rank and solve, Vandermonde MDS
+codes, and rational helpers.
 
 Everything in this module is exact.  Field elements are plain ints in
 [0, q) with an explicit prime modulus, matrices are lists of row lists,
@@ -58,32 +58,25 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra: one Gauss-Jordan step over GF(q) or Q
+# Exact linear algebra over GF(q): one Gauss-Jordan step
 # ---------------------------------------------------------------------------
 
-def pivot(m: list[list], r: int, c: int, q: int | None = None) -> None:
-    """One in-place Gauss-Jordan step: scale row ``r`` so that
+def pivot(m: list[list[int]], r: int, c: int, q: int) -> None:
+    """One in-place Gauss-Jordan step over GF(q): scale row ``r`` so that
     ``m[r][c] == 1``, then clear column ``c`` from every other row.
 
-    Over GF(q) when ``q`` is an int (entries must already lie in [0, q),
-    and stay there), over exact ``Fraction`` entries when ``q`` is None.
-    ``m[r][c]`` must be nonzero.
+    Entries must already lie in [0, q), and stay there.  ``m[r][c]`` must
+    be nonzero.
     """
     p = m[r][c]
     if p != 1:
-        if q is None:
-            m[r] = [v / p for v in m[r]]
-        else:
-            inv = pow(p, -1, q)
-            m[r] = [v * inv % q for v in m[r]]
+        inv = pow(p, -1, q)
+        m[r] = [v * inv % q for v in m[r]]
     row = m[r]
     for i, other in enumerate(m):
         f = other[c]
         if f and i != r:
-            if q is None:
-                m[i] = [a - f * b for a, b in zip(other, row)]
-            else:
-                m[i] = [(a - f * b) % q for a, b in zip(other, row)]
+            m[i] = [(a - f * b) % q for a, b in zip(other, row)]
 
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
@@ -102,17 +95,13 @@ def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
     return rank
 
 
-def mat_solve(a: Sequence[Sequence], b: Sequence, q: int | None) -> list:
-    """Solve the square system a·x = b over GF(q), or over exact
-    rationals when ``q`` is None.
+def mat_solve(a: Sequence[Sequence[int]], b: Sequence[int], q: int) -> list[int]:
+    """Solve the square system a·x = b over GF(q).
 
     Raises ``ValueError`` if the matrix is singular.
     """
     n = len(a)
-    if q is None:
-        aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    else:
-        aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
+    aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
     for c in range(n):
         r = next((i for i in range(c, n) if aug[i][c]), None)
         if r is None:

@@ -601,8 +601,9 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     Raises
     ------
     ValueError
-        If a query's noise slot lies outside 1..t_d, the length of its
-        database's noise vector.
+        If the file does not list N databases, or a query's noise slot
+        lies outside 1..t_d (the length of its database's noise vector),
+        or a term names a message outside 1..M or a slot outside 1..L.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     version = doc.get("version")
@@ -624,12 +625,19 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         )
         for db in doc["databases"]
     )
+    if len(databases) != N:
+        raise ValueError(f"{len(databases)} databases listed, expected N={N}")
     for d, queries in enumerate(databases, start=1):
         for i, qr in enumerate(queries, start=1):
             if qr.noise_slot > len(queries):
                 raise ValueError(
                     f"db {d} query {i}: noise slot {qr.noise_slot} outside 1..{len(queries)}"
                 )
+            for m, slot in qr.terms:
+                if not 1 <= m <= M:
+                    raise ValueError(f"db {d} query {i}: message {m} outside 1..{M}")
+                if not 1 <= slot <= dims.L:
+                    raise ValueError(f"db {d} query {i}: slot {slot} outside 1..{dims.L}")
     return QueryPlan(
         M=M,
         N=N,

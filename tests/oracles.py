@@ -129,16 +129,27 @@ def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Restricted capacity LP over Fraction, typed independently
+# Capacity LP over Fraction, typed independently
 # ---------------------------------------------------------------------------
 
-def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...]]:
+def fraction_pivot(T, r, c) -> None:
+    """One in-place Gauss-Jordan step over ``Fraction`` entries: scale row
+    r so that T[r][c] == 1, then clear column c from every other row."""
+    T[r] = [v / T[r][c] for v in T[r]]
+    for i in range(len(T)):
+        f = T[i][c]
+        if i != r and f:
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+
+
+def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact optimum of max R s.t. R <= c_j . tau for all j, tau in the
     simplex: a full-tableau primal simplex over ``Fraction`` entries, with
     the same start vertex (tau = e_1 on the first row minimizing c_j[0]),
     Bland's entering rule and the lowest-basis-index tie rule as
     ``capacity._solve_restricted``.  Variables are ordered
-    (tau_1..tau_N, R, s_1..s_J)."""
+    (tau_1..tau_N, R, s_1..s_J).  Returns the value, tau and the final
+    reduced costs of the slacks, which are the dual weights."""
     J = len(cvecs)
     N = len(cvecs[0])
     ncols = N + 1 + J
@@ -155,19 +166,12 @@ def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...]]:
     T.append([Fraction(0)] * N + [Fraction(-1)] + [Fraction(0)] * (J + 1))
     nrows = J + 1
 
-    def pivot(r, c):
-        T[r] = [v / T[r][c] for v in T[r]]
-        for i in range(len(T)):
-            f = T[i][c]
-            if i != r and f:
-                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-
     jstar = min(range(J), key=lambda j: cvecs[j][0])
     start = [N + 1 + j for j in range(J) if j != jstar] + [0, N]
     basis = [-1] * nrows
     for var in start:
         pr = next(i for i in range(nrows) if basis[i] < 0 and T[i][var] != 0)
-        pivot(pr, var)
+        fraction_pivot(T, pr, var)
         basis[pr] = var
 
     while True:
@@ -185,7 +189,7 @@ def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...]]:
                     leave = i
         if leave < 0:
             raise ArithmeticError("restricted program unbounded; constraints malformed")
-        pivot(leave, enter)
+        fraction_pivot(T, leave, enter)
         basis[leave] = enter
 
     tau = [Fraction(0)] * N
@@ -195,7 +199,40 @@ def fraction_simplex(cvecs) -> tuple[Fraction, tuple[Fraction, ...]]:
             tau[var] = T[i][rhs]
         elif var == N:
             value = T[i][rhs]
-    return value, tuple(tau)
+    return value, tuple(tau), tuple(T[nrows][N + 1 + j] for j in range(J))
+
+
+def vertex_enumeration(M: int, N: int, mu) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Optimum (value, tau) of the full capacity LP by literal vertex
+    enumeration.  Every vertex is the normalization hyperplane intersected
+    with N more active constraints, drawn from the sequence constraints
+    (deduplicated, pointwise-dominated ones dropped) and the sign
+    constraints tau_d >= 0.  Combinatorial: small instances only."""
+    vecs = list(dict.fromkeys(prefix_coefficients(n, mu) for n in product(range(1, N + 1), repeat=M - 1)))
+    # c' <= c pointwise makes R <= c . tau redundant on tau >= 0
+    pool = [c for c in vecs if not any(o != c and all(x <= y for x, y in zip(o, c)) for o in vecs)]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[-v for v in c] + [one, zero] for c in pool]  # R - c . tau = 0
+    rows += [[one if e == d else zero for e in range(N)] + [zero, zero] for d in range(N)]  # tau_d = 0
+    best = None
+    for combo in combinations(rows, N):
+        aug = [list(r) for r in combo] + [[one] * N + [zero, one]]  # sum tau = 1
+        for c in range(N + 1):
+            r = next((i for i in range(c, N + 1) if aug[i][c]), None)
+            if r is None:
+                break
+            aug[c], aug[r] = aug[r], aug[c]
+            fraction_pivot(aug, c, c)
+        else:
+            tau, value = tuple(row[N + 1] for row in aug[:N]), aug[N][N + 1]
+            feasible = all(v >= 0 for v in tau) and all(
+                sum(x * t for x, t in zip(c, tau)) >= value for c in pool
+            )
+            if feasible and (best is None or value > best[0]):
+                best = (value, tau)
+    if best is None:
+        raise ArithmeticError("no feasible vertex found; constraints malformed")
+    return best
 
 
 # ---------------------------------------------------------------------------

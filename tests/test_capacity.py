@@ -1,7 +1,6 @@
-"""Capacity upper bounds: constraint generation, enumeration, closed forms."""
+"""Capacity upper bounds: constraint generation, its certificate, closed forms."""
 
 import random
-import time
 from fractions import Fraction
 from math import lcm
 
@@ -14,13 +13,21 @@ from wtcpir.capacity import (
     constraint_coefficients,
     gap,
     inner_bound_at,
+    outer_bound_at,
     sequence_vectors,
     upper_bound,
-    upper_bound_by_enumeration,
 )
 from wtcpir.schemes import EavesdropProfile, best_scheme
 
-from oracles import capacity_m2, capacity_m3, classic_rate, fraction_simplex, prefix_coefficients, ub32
+from oracles import (
+    capacity_m2,
+    capacity_m3,
+    classic_rate,
+    fraction_simplex,
+    prefix_coefficients,
+    ub32,
+    vertex_enumeration,
+)
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU_STAR = (0, "1/9", "2/9", "1/3")
@@ -29,6 +36,16 @@ MU_STAR = (0, "1/9", "2/9", "1/3")
 def rand_mu(rng: random.Random, N: int) -> EavesdropProfile:
     vals = sorted(Fraction(rng.randrange(0, 40), rng.randrange(41, 80)) for _ in range(N))
     return EavesdropProfile(vals)
+
+
+def assert_certified(res, mu: EavesdropProfile, M: int) -> None:
+    """Both halves of the bound's certificate: argmax_tau reaches the value,
+    and at most N tight constraints, weighted by the dual weights, show
+    that no tau exceeds it."""
+    assert inner_bound_at(res.argmax_tau, mu, M) == res.value, (M, mu.mu)
+    assert outer_bound_at(res.dual_weights, mu) == res.value, (M, mu.mu)
+    assert len(res.dual_weights) <= mu.N, (M, mu.mu)
+    assert {n_vec for n_vec, _ in res.dual_weights} <= set(res.active_sequences), (M, mu.mu)
 
 
 def test_constraint_coefficients_worked_values():
@@ -63,13 +80,30 @@ def test_inner_bound_at_worked_example():
         inner_bound_at((Fraction(3, 2), Fraction(-1, 2)), WORKED_MU, M=3)
 
 
+def test_outer_bound_at_worked_example():
+    weights = (((1, 2), Fraction(10, 17)), ((2, 2), Fraction(7, 17)))
+    assert outer_bound_at(weights, WORKED_MU) == Fraction(6, 17)
+    # any weights on the simplex bound the LP from above, if less tightly
+    assert outer_bound_at((((1, 1), 1),), WORKED_MU) == Fraction(1, 2)
+    bad = [
+        ("simplex", (((1, 2), Fraction(3, 2)), ((2, 2), Fraction(-1, 2)))),
+        ("simplex", ()),
+        ("unequal length", (((1, 2), Fraction(1, 2)), ((2,), Fraction(1, 2)))),
+        ("outside 1..2", (((1, 3), 1),)),
+    ]
+    for message, weights in bad:
+        with pytest.raises(ValueError, match=message):
+            outer_bound_at(weights, WORKED_MU)
+
+
 def test_upper_bound_worked_example():
     res = upper_bound(3, 2, WORKED_MU)
     assert res.value == Fraction(6, 17)
     assert res.argmax_tau == (Fraction(8, 17), Fraction(9, 17))
     assert set(res.active_sequences) == {(1, 2), (2, 2)}
-    # the returned vertex really certifies the value
-    assert inner_bound_at(res.argmax_tau, WORKED_MU, M=3) == res.value
+    assert res.dual_weights == (((1, 2), Fraction(10, 17)), ((2, 2), Fraction(7, 17)))
+    # the returned vertex and dual weights really certify the value
+    assert_certified(res, WORKED_MU, 3)
 
 
 def test_upper_bound_matches_independent_closed_form():
@@ -88,6 +122,7 @@ def test_upper_bound_classic_reduction():
             # uniform shares attain the optimum even when the LP vertex differs
             uniform = (Fraction(1, N),) * N
             assert inner_bound_at(uniform, mu, M) == res.value
+            assert_certified(res, mu, M)
 
 
 def test_both_routes_agree():
@@ -100,43 +135,49 @@ def test_both_routes_agree():
         profiles += [EavesdropProfile(sorted(Fraction(grid.randrange(12), 12) for _ in range(N))) for _ in range(2)]
         for mu in profiles:
             a = upper_bound(M, N, mu)
-            b = upper_bound_by_enumeration(M, N, mu)
-            assert a.value == b.value, (M, N, mu.mu)
-            # the returned vertex certifies the value, which no scheme beats
-            assert inner_bound_at(a.argmax_tau, mu, M) == a.value, (M, N, mu.mu)
+            assert a.value == vertex_enumeration(M, N, mu.mu)[0], (M, N, mu.mu)
+            # the certificate proves the value, which no scheme beats
+            assert_certified(a, mu, M)
             assert a.value >= best_scheme(M, N, mu)[1], (M, N, mu.mu)
     # several optimal tau here; `wtcpir capacity` prints the simplex's vertex,
-    # which Bland's rule picks (the enumeration route returns (1/3, 1/3, 1/3))
+    # which Bland's rule picks (the enumeration oracle returns (1/3, 1/3, 1/3));
+    # the final tableau's dual weights sit on the one tight constraint
     tie = EavesdropProfile([0, "1/2", "1/2"])
     a = upper_bound(2, 3, tie)
     assert (a.value, a.argmax_tau, a.active_sequences) == (Fraction(1, 2), (1, 0, 0), ((1,),))
-    assert upper_bound_by_enumeration(2, 3, tie).value == a.value
+    assert a.dual_weights == (((1,), 1),)
+    assert_certified(a, tie, 2)
+    assert vertex_enumeration(2, 3, tie.mu) == (a.value, (Fraction(1, 3),) * 3)
 
 
 def test_upper_bound_golden_where_scheme_falls_short():
+    mu = EavesdropProfile(MU_STAR)
     # N=4, M=5: the LP optimum lies above the best scheme's rate
-    res = upper_bound(5, 4, EavesdropProfile(MU_STAR))
+    res = upper_bound(5, 4, mu)
     assert res.value == Fraction(2688, 4393)
     assert res.argmax_tau == tuple(Fraction(v, 4393) for v in (910, 1008, 1152, 1323))
     assert res.active_sequences == (
         (1, 3, 4, 4), (1, 4, 4, 4), (2, 3, 4, 4), (2, 4, 4, 4), (3, 3, 4, 4), (3, 4, 4, 4),
     )
-    res = upper_bound(6, 4, EavesdropProfile(MU_STAR))
+    assert_certified(res, mu, 5)
+    res = upper_bound(6, 4, mu)
     assert res.value == Fraction(10752, 17593)
     assert res.argmax_tau == tuple(Fraction(v, 17593) for v in (3598, 4032, 4608, 5355))
     assert res.active_sequences == (
         (1, 3, 4, 4, 4), (1, 4, 4, 4, 4), (2, 3, 4, 4, 4),
         (2, 4, 4, 4, 4), (3, 3, 4, 4, 4), (3, 4, 4, 4, 4),
     )
-    res = upper_bound(7, 4, EavesdropProfile(MU_STAR))
+    assert_certified(res, mu, 6)
+    res = upper_bound(7, 4, mu)
     assert res.value == Fraction(43008, 70393)
     assert res.argmax_tau == tuple(Fraction(v, 70393) for v in (14350, 16128, 18432, 21483))
     assert res.active_sequences == (
         (1, 3, 4, 4, 4, 4), (1, 4, 4, 4, 4, 4), (2, 3, 4, 4, 4, 4),
         (2, 4, 4, 4, 4, 4), (3, 3, 4, 4, 4, 4), (3, 4, 4, 4, 4, 4),
     )
+    assert_certified(res, mu, 7)
     # the known N=4 gap between the LP and the best scheme
-    assert gap(5, 4, EavesdropProfile(MU_STAR)) == Fraction(4480, 102932383)
+    assert gap(5, 4, mu) == Fraction(4480, 102932383)
 
 
 def _outcome(solve, program):
@@ -179,7 +220,7 @@ def test_integer_simplex_matches_fraction_oracle(monkeypatch):
     # row, and with it the optimal vertex (the other row ends at tau = e_2);
     # row 1 is over 12, not its lcm 2, which must change nothing
     tie = [((0, 24, 18, 24), 12), ((1, 3, 3, 0), 12), ((1, 3, 36, 0), 12)]
-    want = (Fraction(1, 4), (0, 0, 1, 0))
+    want = (Fraction(1, 4), (0, 0, 1, 0), (0, 1, 0))
     assert solve(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
 
 
@@ -221,11 +262,6 @@ def test_budget_error():
     mu = EavesdropProfile([0] * 5)
     with pytest.raises(EnumerationBudgetError, match="enumeration too large"):
         upper_bound(10, 5, mu)
-    # C(62 + 4, 4) = 720 720 basis sets (minutes of solving): refused up front
-    start = time.perf_counter()
-    with pytest.raises(EnumerationBudgetError, match="candidate basis sets"):
-        upper_bound_by_enumeration(4, 4, EavesdropProfile([0] * 4))
-    assert time.perf_counter() - start < 1
 
 
 def test_upper_bound_monotone_in_eavesdropping():

@@ -135,6 +135,14 @@ def test_audit_tampered_plan_exits_one(tmp_path, capsys):
     assert rep["security"]["status"] == "FAIL"
 
 
+def _set_noise_slot(doc, value):
+    doc["databases"][0]["queries"][0]["noise_slot"] = value
+
+
+def _set_first_term(doc, index, value):
+    doc["databases"][0]["queries"][0]["terms"][0][index] = value
+
+
 @pytest.mark.parametrize("command", ["audit", "simulate"])
 def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
     plan_path = tmp_path / "plan.json"
@@ -142,12 +150,22 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         capsys, "plan", "-M", "3", "-N", "2", "--mu", "1/4,1/2",
         "--seed", "7", "--out", str(plan_path),
     )
-    doc = json.loads(plan_path.read_text(encoding="utf-8"))
-    doc["databases"][0]["queries"][0]["noise_slot"] = 99
-    plan_path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
-    assert code == 2 and out == ""
-    assert "cannot load plan" in err and "noise slot 99 outside 1..16" in err
+    honest = plan_path.read_text(encoding="utf-8")
+    # the first query of database 1 downloads (message 1, slot 1)
+    cases = [
+        (lambda doc: _set_noise_slot(doc, 99), "db 1 query 1: noise slot 99 outside 1..16"),
+        (lambda doc: doc["databases"].append(doc["databases"][0]), "3 databases listed, expected N=2"),
+        (lambda doc: _set_first_term(doc, 0, 9), "db 1 query 1: message 9 outside 1..3"),
+        (lambda doc: _set_first_term(doc, 0, 0), "db 1 query 1: message 0 outside 1..3"),
+        (lambda doc: _set_first_term(doc, 1, 999), "db 1 query 1: slot 999 outside 1..12"),
+    ]
+    for edit, message in cases:
+        doc = json.loads(honest)
+        edit(doc)
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
+        assert code == 2 and out == "", message
+        assert "cannot load plan" in err and message in err
 
 
 @pytest.mark.parametrize(

@@ -68,11 +68,6 @@ def test_mat_solve_round_trip_and_singular():
     assert mat_solve(a, b, q) == x
     with pytest.raises(ValueError, match="singular"):
         mat_solve([[1, 2], [2, 4]], [1, 2], 11)
-    # q=None solves over the rationals
-    r = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    assert mat_solve(r, [Fraction(1), Fraction(1, 2)], None) == [Fraction(1, 2), Fraction(0)]
-    with pytest.raises(ValueError, match="singular"):
-        mat_solve([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], [1, 2], None)
 
 
 def test_generator_matches_hand_vandermonde():
