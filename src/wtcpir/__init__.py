@@ -27,7 +27,6 @@ from .planner import (
     PlanConstructionError,
     Query,
     QueryPlan,
-    StageRecord,
     build_plan,
     plan_from_json,
     plan_stats,
@@ -79,7 +78,6 @@ __all__ = [
     "Query",
     "QueryPlan",
     "StageCounts",
-    "StageRecord",
     "Transcript",
     "achievable_rate",
     "as_fraction",

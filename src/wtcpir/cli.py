@@ -271,7 +271,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     plan = _load_plan(args.plan)
-    privacy = audit_privacy(plan.M, plan.N, plan.group_sequence, plan.mu, seed=plan.seed)
+    privacy = audit_privacy([
+        build_plan(plan.M, plan.N, plan.group_sequence, plan.mu, desired=i, seed=plan.seed)
+        for i in range(1, plan.M + 1)
+    ])
     security = audit_security(plan)
     decod = audit_decodability(plan, trials=args.trials, seed=args.seed)
     status = "PASS" if all(r["status"] == "PASS" for r in (privacy, security, decod)) else "FAIL"
@@ -290,8 +293,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     return obj

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -95,24 +95,19 @@ class Query:
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    """Construction-order bookkeeping: one stage's wire positions."""
-
-    repetition: int
-    round: int
-    wire_positions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class QueryPlan:
     """A complete, executable download schedule.
 
     ``databases[d-1]`` lists database d's queries in wire order (length
     t_d, exactly key_len_d of them pure noise).  ``permutations[m-1]`` is
     the bijection taking logical slot s to the physical symbol index
-    ``permutations[m-1][s-1]`` of message m.  ``stages`` preserves the
-    construction grouping for rendering; plans loaded from JSON carry
-    ``stages=None``.
+    ``permutations[m-1][s-1]`` of message m.
+
+    Every plan, built or loaded, is checked on construction: it lists N
+    databases, ``desired`` lies in 1..M, every noise slot of database d
+    lies in 1..t_d, and every term names a message in 1..M and a symbol
+    slot in 1..L.  A violation raises ``ValueError`` naming the database
+    and query.
     """
 
     M: int
@@ -125,7 +120,24 @@ class QueryPlan:
     seed: int
     permutations: tuple[tuple[int, ...], ...]
     databases: tuple[tuple[Query, ...], ...]
-    stages: tuple[tuple[StageRecord, ...], ...] | None = field(compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.databases) != self.N:
+            raise ValueError(f"{len(self.databases)} databases listed, expected N={self.N}")
+        if not 1 <= self.desired <= self.M:
+            raise ValueError(f"desired message {self.desired} out of range 1..{self.M}")
+        L = self.dims.L
+        for d, queries in enumerate(self.databases, start=1):
+            for i, qr in enumerate(queries, start=1):
+                if qr.noise_slot > len(queries):
+                    raise ValueError(
+                        f"db {d} query {i}: noise slot {qr.noise_slot} outside 1..{len(queries)}"
+                    )
+                for m, slot in qr.terms:
+                    if not 1 <= m <= self.M:
+                        raise ValueError(f"db {d} query {i}: message {m} outside 1..{self.M}")
+                    if not 1 <= slot <= L:
+                        raise ValueError(f"db {d} query {i}: slot {slot} outside 1..{L}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +151,15 @@ def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
         random.Random(f"{seed}/perm/{m}").shuffle(ids)
         perms.append(tuple(ids))
     return tuple(perms)
+
+
+def _wire_order(seed: int, d: int, t: int) -> list[int]:
+    """Database d's seeded wire shuffle of t downloads: entry p is the
+    construction index of the query at wire position p + 1 (meaningful
+    queries in construction order first, then pure noise)."""
+    order = list(range(t))
+    random.Random(f"{seed}/shuffle/{d}").shuffle(order)
+    return order
 
 
 def build_plan(
@@ -288,16 +309,15 @@ def build_plan(
         )
 
     databases: list[tuple[Query, ...]] = []
-    stage_records: list[tuple[StageRecord, ...]] = []
     for d in range(1, N + 1):
-        # this database's stages in construction order (an idle one has none)
-        own = [
-            (rep, k, terms_of)
+        # this database's downloads in construction order (an idle one has none)
+        cons = [
+            terms
             for rep in range(1, dims.nu + 1)
             for k in range(1, M + 1)
             for terms_of in stage_sets.get((rep, d, k), [])
+            for terms in terms_of.values()
         ]
-        cons = [terms for _, _, terms_of in own for terms in terms_of.values()]
         t_d = dims.t[d - 1]
         key_len = dims.key_len[d - 1]
         if len(cons) + key_len != t_d:
@@ -305,17 +325,9 @@ def build_plan(
                 M, g.group_of(d) or 0, d,
                 f"download accounting off: {len(cons)} meaningful + {key_len} noise != t={t_d}",
             )
-        order = list(range(t_d))
-        random.Random(f"{seed}/shuffle/{d}").shuffle(order)
-        wire_of = {ci: p for p, ci in enumerate(order)}
-        qs = []
-        for p, ci in enumerate(order):
-            terms = cons[ci] if ci < len(cons) else PURE_NOISE
-            qs.append(Query(terms=terms, noise_slot=p + 1))
-        databases.append(tuple(qs))
-        positions = (wire_of[ci] + 1 for ci in range(len(cons)))
-        stage_records.append(tuple(
-            StageRecord(rep, k, tuple(next(positions) for _ in terms_of)) for rep, k, terms_of in own
+        databases.append(tuple(
+            Query(terms=cons[ci] if ci < len(cons) else PURE_NOISE, noise_slot=p)
+            for p, ci in enumerate(_wire_order(seed, d, t_d), start=1)
         ))
 
     plan = QueryPlan(
@@ -329,7 +341,6 @@ def build_plan(
         seed=seed,
         permutations=_permutations_for(seed, M, L),
         databases=tuple(databases),
-        stages=tuple(stage_records),
     )
     problems = plan_violations(plan)
     if problems:
@@ -394,10 +405,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
             )
         used: Counter = Counter()
         for qr in queries:
-            for m, s in qr.terms:
-                if not 1 <= s <= L:
-                    problems.append(f"db {d}: slot {s} of message {m} outside 1..L={L}")
-                used[(m, s)] += 1
+            for pair in qr.terms:
+                used[pair] += 1
         dup = [pair for pair, c in used.items() if c > 1]
         if dup:
             problems.append(f"db {d}: symbol slots downloaded twice: {sorted(dup)[:3]}")
@@ -513,39 +522,43 @@ def _render_query(qr: Query, d: int) -> str:
 def plan_to_table(plan: QueryPlan) -> str:
     """Render the plan as a deterministic markdown table.
 
-    Columns are the databases that download anything; rows group by
-    repetition (construction order) with pure-noise downloads in a final
-    block.  Symbols are labeled a_i, b_i, ... by message and u_j, v_j, ...
-    by database noise slot.  Plans without stage records (e.g. loaded
-    from JSON) render in wire order instead.
+    Columns are the databases that download anything.  Each column lists
+    its meaningful queries in construction order (the inverse of the
+    database's seeded wire shuffle), cut into ``nu`` equal repetition
+    blocks, then its pure-noise downloads in wire order in a final block.
+    Built and loaded plans render alike, and every query appears exactly
+    once.  Symbols are labeled a_i, b_i, ... by message and u_j, v_j, ...
+    by database noise slot.
     """
     columns = tuple(d for d in range(1, plan.N + 1) if plan.databases[d - 1])
-    col_cells: dict[int, list[str]] = {d: [] for d in columns}
+    nu = plan.dims.nu
+    reps: dict[int, list[list[str]]] = {}
+    for d in columns:
+        queries = plan.databases[d - 1]
+        order = _wire_order(plan.seed, d, len(queries))
+        meaningful = [
+            _render_query(qr, d)
+            for _, qr in sorted(zip(order, queries))
+            if not qr.is_pure_noise
+        ]
+        per_rep = -(-len(meaningful) // nu)
+        reps[d] = [meaningful[r * per_rep:(r + 1) * per_rep] for r in range(nu)]
 
-    if plan.stages is not None:
-        for rep in range(1, plan.dims.nu + 1):
-            if plan.dims.nu > 1:
-                for d in columns:
-                    col_cells[d].append(f"(repetition {rep})")
-            for d in columns:
-                for rec in plan.stages[d - 1]:
-                    if rec.repetition != rep:
-                        continue
-                    for pos in rec.wire_positions:
-                        col_cells[d].append(_render_query(plan.databases[d - 1][pos - 1], d))
-            width = max(len(col_cells[d]) for d in columns)
-            for d in columns:
-                col_cells[d].extend([""] * (width - len(col_cells[d])))
-        if any(plan.dims.key_len[d - 1] for d in columns):
-            for d in columns:
-                col_cells[d].append("(artificial noise)")
-            for d in columns:
-                for qr in plan.databases[d - 1]:
-                    if qr.is_pure_noise:
-                        col_cells[d].append(_render_query(qr, d))
-    else:
+    col_cells: dict[int, list[str]] = {d: [] for d in columns}
+    for r in range(nu):
+        width = max(len(reps[d][r]) for d in columns)
         for d in columns:
-            col_cells[d] = [_render_query(qr, d) for qr in plan.databases[d - 1]]
+            if nu > 1:
+                col_cells[d].append(f"(repetition {r + 1})")
+            col_cells[d].extend(reps[d][r] + [""] * (width - len(reps[d][r])))
+    noise = {
+        d: [_render_query(qr, d) for qr in plan.databases[d - 1] if qr.is_pure_noise]
+        for d in columns
+    }
+    if any(noise.values()):
+        for d in columns:
+            col_cells[d].append("(artificial noise)")
+            col_cells[d].extend(noise[d])
 
     height = max((len(cells) for cells in col_cells.values()), default=0)
     for d in columns:
@@ -596,14 +609,13 @@ def plan_from_json(text: str | dict) -> QueryPlan:
 
     Queries are taken as serialized — no re-derivation or equality check —
     so edited plans load fine and are judged by the audits instead.
-    Stage bookkeeping is not serialized; loaded plans render in wire order.
 
     Raises
     ------
     ValueError
-        If the file does not list N databases, or a query's noise slot
-        lies outside 1..t_d (the length of its database's noise vector),
-        or a term names a message outside 1..M or a slot outside 1..L.
+        If the document's version is not 1, or the plan breaks one of the
+        ``QueryPlan`` range rules (database count, desired message, noise
+        slot, term message, term symbol slot).
     """
     doc = json.loads(text) if isinstance(text, str) else text
     version = doc.get("version")
@@ -625,19 +637,6 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         )
         for db in doc["databases"]
     )
-    if len(databases) != N:
-        raise ValueError(f"{len(databases)} databases listed, expected N={N}")
-    for d, queries in enumerate(databases, start=1):
-        for i, qr in enumerate(queries, start=1):
-            if qr.noise_slot > len(queries):
-                raise ValueError(
-                    f"db {d} query {i}: noise slot {qr.noise_slot} outside 1..{len(queries)}"
-                )
-            for m, slot in qr.terms:
-                if not 1 <= m <= M:
-                    raise ValueError(f"db {d} query {i}: message {m} outside 1..{M}")
-                if not 1 <= slot <= dims.L:
-                    raise ValueError(f"db {d} query {i}: slot {slot} outside 1..{dims.L}")
     return QueryPlan(
         M=M,
         N=N,
@@ -649,5 +648,4 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         seed=seed,
         permutations=_permutations_for(seed, M, dims.L),
         databases=databases,
-        stages=None,
     )

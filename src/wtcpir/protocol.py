@@ -21,14 +21,14 @@ Audits check the three scheme guarantees directly on wire data:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
 from .fieldmath import MdsCode, check_evaluation_points, mat_rank, mat_solve, mds_generator
-from .planner import QueryPlan, build_plan
-from .schemes import EavesdropProfile, GroupSequence
+from .planner import QueryPlan
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,10 @@ def _noise_codes(plan: QueryPlan) -> list[MdsCode | None]:
     """Per database, the artificial-noise code implied by the wire data
     (dimension = actual pure-noise count, so edited plans are judged on
     what they really carry).
-
-    Raises ``ValueError`` naming the database, query and slot if some
-    noise slot lies outside 1..t_d.
     """
     codes: list[MdsCode | None] = []
-    for d, queries in enumerate(plan.databases, start=1):
+    for queries in plan.databases:
         t_d = len(queries)
-        for i, qr in enumerate(queries, start=1):
-            if not 1 <= qr.noise_slot <= t_d:
-                raise ValueError(
-                    f"db {d}: query {i} has noise slot {qr.noise_slot} outside 1..{t_d}"
-                )
         if t_d == 0:
             codes.append(None)
             continue
@@ -120,8 +112,8 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     symbol at its noise slot.  The eavesdropper's tapped positions are a
     seeded sample of exactly mu_n * t_n wire positions per database.
 
-    Raises ``ValueError`` if the store does not fit the plan, some noise
-    slot lies outside 1..t_n, or some mu_n * t_n is not an integer.
+    Raises ``ValueError`` if the store does not fit the plan or some
+    mu_n * t_n is not an integer.
     """
     if store.M != plan.M:
         raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
@@ -178,9 +170,8 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
     Raises
     ------
     ValueError
-        If a noise slot lies outside 1..t_n, noise interpolation is
-        singular, or side information is missing/unresolvable (an
-        internal error for honest plans).
+        If noise interpolation is singular, or side information is
+        missing/unresolvable (an internal error for honest plans).
     """
     q = plan.q
     codes = _noise_codes(plan)
@@ -262,39 +253,24 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
 # Audits
 # ---------------------------------------------------------------------------
 
-def audit_privacy(
-    M: int,
-    N: int,
-    g: GroupSequence | Sequence[int],
-    mu: EavesdropProfile,
-    seed: int,
-    plans: Sequence[QueryPlan] | None = None,
-) -> dict:
+def audit_privacy(plans: Sequence[QueryPlan]) -> dict:
     """Check that query signatures cannot distinguish retrievals.
 
-    Builds the plan for every desired message (same seed) and compares,
-    per database, the multiset of message-index sets over all queries
-    (pure noise counts as the empty set).  Any difference names the
-    database and the first differing signature.
-
-    Parameters
-    ----------
-    plans : sequence of QueryPlan, optional
-        Pre-built plans (one per desired message) to audit instead of
-        building; used to examine edited or faulty plans.
+    ``plans`` holds one plan per desired message, and exactly those plans
+    are judged.  Per database, the multiset of message-index sets over all
+    queries (pure noise counts as the empty set) must be the same in
+    every plan.  Any difference names the database, the desired message
+    of the first plan that differs from the first one, and the first
+    differing signature.
     """
-    from collections import Counter
-
-    if plans is None:
-        plans = [build_plan(M, N, g, mu, desired=i, seed=seed) for i in range(1, M + 1)]
     entries = []
     status = "PASS"
-    for d in range(1, N + 1):
+    for d in range(1, plans[0].N + 1):
         counters = [
             Counter(qr.message_set() for qr in plan.databases[d - 1]) for plan in plans
         ]
         diff = None
-        for i, ctr in enumerate(counters[1:], start=2):
+        for plan, ctr in zip(plans[1:], counters[1:]):
             if ctr != counters[0]:
                 sig = sorted(
                     set(counters[0]) | set(ctr),
@@ -302,7 +278,7 @@ def audit_privacy(
                 )
                 bad = next(s for s in sig if counters[0].get(s, 0) != ctr.get(s, 0))
                 diff = {
-                    "desired": i,
+                    "desired": plan.desired,
                     "signature": sorted(bad),
                     "counts": [counters[0].get(bad, 0), ctr.get(bad, 0)],
                 }
@@ -324,11 +300,9 @@ def _first_failing_set(slots: Sequence[int], size: int, key_len: int) -> tuple[i
     """Lexicographically first set of ``size`` wire positions whose noise
     rows are dependent, or None if every such set has full rank.
 
-    A position whose noise slot lies outside 1..t names no symbol of the
-    noise codeword, so its row is zero.  Rows at distinct in-range slots
-    are Vandermonde rows at distinct points, independent whenever there
-    are at most ``key_len`` of them.  A set is therefore dependent iff it
-    is larger than the key, holds an out-of-range position, or holds two
+    Rows at distinct slots are Vandermonde rows at distinct points,
+    independent whenever there are at most ``key_len`` of them.  A set is
+    therefore dependent iff it is larger than the key or holds two
     positions with the same slot.  The first set containing such a core
     is the core plus the smallest other positions.
     """
@@ -339,9 +313,7 @@ def _first_failing_set(slots: Sequence[int], size: int, key_len: int) -> tuple[i
         cores = []
         first_at: dict[int, int] = {}
         for p, slot in enumerate(slots, start=1):
-            if not 1 <= slot <= t:
-                cores.append((p,))
-            elif slot in first_at:
+            if slot in first_at:
                 if size >= 2:
                     cores.append((first_at[slot], p))
             else:
@@ -363,15 +335,15 @@ def audit_security(plan: QueryPlan) -> dict:
     by noise slots) have full rank.  Every minor of a Vandermonde
     generator with distinct evaluation points (t_n <= q) is invertible,
     so all C(t_n, |S_n|) sets have full rank iff |S_n| is at most the key
-    length, every noise slot lies in 1..t_n and, when |S_n| >= 2, the
-    noise slots are pairwise distinct (Ozarow-Wyner coset coding).  That
-    is checked in O(t_n) with no rank computation (``certificate:
-    "mds"``).  On a FAIL the entry names the lexicographically first
-    failing set, confirmed by one rank check (``certificate:
-    "witness"``).  A non-integral |S_n| fails with an empty failing set
-    (``"non-integral"``); an empty observation passes vacuously
-    (``"empty"``).  Every verdict covers all sets (``exhaustive``), and
-    ``sets_tested`` counts the rank checks run.
+    length and, when |S_n| >= 2, the noise slots (in 1..t_n, which
+    ``QueryPlan`` guarantees) are pairwise distinct (Ozarow-Wyner coset
+    coding).  That is checked in O(t_n) with no rank computation
+    (``certificate: "mds"``).  On a FAIL the entry names the
+    lexicographically first failing set, confirmed by one rank check
+    (``certificate: "witness"``).  A non-integral |S_n| fails with an
+    empty failing set (``"non-integral"``); an empty observation passes
+    vacuously (``"empty"``).  Every verdict covers all sets
+    (``exhaustive``), and ``sets_tested`` counts the rank checks run.
 
     Raises ``ValueError`` if q is not prime or some t_n exceeds q.
     """
@@ -410,8 +382,7 @@ def audit_security(plan: QueryPlan) -> dict:
         if failing is None:
             continue
         gen = mds_generator(t_d, key_len, plan.q).generator
-        rows = [gen[slots[p - 1] - 1] if slots[p - 1] <= t_d else (0,) * key_len
-                for p in failing]
+        rows = [gen[slots[p - 1] - 1] for p in failing]
         if mat_rank(rows, plan.q) == size:
             raise RuntimeError(f"db {d}: failing set {list(failing)} has full rank")
         entry.update(sets_tested=1, status="FAIL", certificate="witness",

@@ -14,7 +14,7 @@ from wtcpir import Query, QueryPlan, build_plan
 def _replace_db(plan: QueryPlan, d: int, queries) -> QueryPlan:
     dbs = list(plan.databases)
     dbs[d - 1] = tuple(queries)
-    return dataclasses.replace(plan, databases=tuple(dbs), stages=None)
+    return dataclasses.replace(plan, databases=tuple(dbs))
 
 
 def shorter_key(plan: QueryPlan, database: int = 1) -> QueryPlan:

@@ -154,7 +154,9 @@ def test_criterion_7_worked_plan_audits_and_faults():
     t0 = time.perf_counter()
     plan = build_plan(3, 2, (1, 2, 2), WORKED_MU, desired=1, seed=7)
 
-    privacy = audit_privacy(3, 2, (1, 2, 2), WORKED_MU, seed=7)
+    privacy = audit_privacy(
+        [build_plan(3, 2, (1, 2, 2), WORKED_MU, desired=i, seed=7) for i in (1, 2, 3)]
+    )
     assert privacy["status"] == "PASS"
 
     security = audit_security(plan)
@@ -168,7 +170,7 @@ def test_criterion_7_worked_plan_audits_and_faults():
     assert audit_security(bad_key)["status"] == "FAIL"
 
     asym = faults.broken_symmetry(3, 2, (1, 2, 2), WORKED_MU, seed=7)
-    assert audit_privacy(3, 2, (1, 2, 2), WORKED_MU, seed=7, plans=asym)["status"] == "FAIL"
+    assert audit_privacy(asym)["status"] == "FAIL"
 
     rewired = faults.rewired_side_information(plan)
     assert audit_decodability(rewired, trials=20, seed=5)["status"] == "FAIL"

@@ -158,6 +158,8 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: _set_first_term(doc, 0, 9), "db 1 query 1: message 9 outside 1..3"),
         (lambda doc: _set_first_term(doc, 0, 0), "db 1 query 1: message 0 outside 1..3"),
         (lambda doc: _set_first_term(doc, 1, 999), "db 1 query 1: slot 999 outside 1..12"),
+        (lambda doc: doc["meta"].update(desired=0), "desired message 0 out of range 1..3"),
+        (lambda doc: doc["meta"].update(desired=4), "desired message 4 out of range 1..3"),
     ]
     for edit, message in cases:
         doc = json.loads(honest)

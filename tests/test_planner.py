@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from wtcpir.planner import (
     PlanConstructionError,
     Query,
+    _render_query,
     build_plan,
     plan_from_json,
     plan_stats,
@@ -117,8 +119,11 @@ def test_plans_match_golden_digest():
                 for g in enumerate_sequences(M, N):
                     for desired in (1, M):
                         plan = build_plan(M, N, g, mu, desired=desired, seed=10 * M + N)
-                        digest.update(plan_to_json(plan).encode())
-                        digest.update(plan_to_table(plan).encode())
+                        doc, table = plan_to_json(plan), plan_to_table(plan)
+                        loaded = plan_from_json(doc)
+                        assert loaded == plan and plan_to_table(loaded) == table
+                        digest.update(doc.encode())
+                        digest.update(table.encode())
                         count += 1
     assert count == 172
     assert digest.hexdigest() == "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468"
@@ -135,8 +140,9 @@ def test_stage_counts_on_wire():
 def test_stage_counts_of_incomplete_round_are_exact():
     plan = worked_plan()
     qs = list(plan.databases[1])
-    qs.remove(next(q for q in qs if q.round == 2))
-    short = dataclasses.replace(plan, databases=(plan.databases[0], tuple(qs)), stages=None)
+    i = next(i for i, q in enumerate(qs) if q.round == 2)
+    qs[i] = Query(terms=(), noise_slot=qs[i].noise_slot)
+    short = dataclasses.replace(plan, databases=(plan.databases[0], tuple(qs)))
     stages = plan_stats(short)["stages_per_round"][2]
     assert stages == {2: Fraction(8, 3)} and isinstance(stages[2], Fraction)
 
@@ -174,9 +180,7 @@ def test_json_round_trip():
     plan = worked_plan()
     doc = plan_to_json(plan)
     loaded = plan_from_json(doc)
-    assert loaded.databases == plan.databases
-    assert loaded.permutations == plan.permutations
-    assert loaded.stages is None
+    assert loaded == plan
     assert plan_to_json(loaded) == doc
     assert plan_violations(loaded) == []
 
@@ -214,6 +218,33 @@ def test_query_validation():
     assert q.round == 2 and not q.is_pure_noise
 
 
+def _first_query(plan, **changes):
+    qs = list(plan.databases[0])
+    qs[0] = dataclasses.replace(qs[0], **changes)
+    return {"databases": (tuple(qs),) + plan.databases[1:]}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda p: {"databases": p.databases + ((),)}, "3 databases listed, expected N=2"),
+        (lambda p: {"desired": 0}, "desired message 0 out of range 1..3"),
+        (lambda p: {"desired": 4}, "desired message 4 out of range 1..3"),
+        (lambda p: _first_query(p, noise_slot=17), "db 1 query 1: noise slot 17 outside 1..16"),
+        (lambda p: _first_query(p, terms=((0, 1),)), "db 1 query 1: message 0 outside 1..3"),
+        (lambda p: _first_query(p, terms=((4, 1),)), "db 1 query 1: message 4 outside 1..3"),
+        (lambda p: _first_query(p, terms=((1, 0),)), "db 1 query 1: slot 0 outside 1..12"),
+        (lambda p: _first_query(p, terms=((1, 13),)), "db 1 query 1: slot 13 outside 1..12"),
+    ],
+    ids=["databases", "desired-0", "desired-4", "noise-slot", "message-0", "message-4",
+         "symbol-slot-0", "symbol-slot-13"],
+)
+def test_plan_rejects_out_of_range_index(change, message):
+    plan = worked_plan()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(plan, **change(plan))
+
+
 def test_table_rendering():
     plan = worked_plan()
     text = plan_to_table(plan)
@@ -222,10 +253,15 @@ def test_table_rendering():
     assert "u_" in text and "v_" in text
     # deterministic
     assert plan_to_table(worked_plan()) == text
-    # loaded plans render in wire order, one row per query
-    loaded = plan_from_json(plan_to_json(plan))
-    wire = plan_to_table(loaded)
-    assert len(wire.splitlines()) == 2 + 18
+    # a plan one query short or one query long still renders every query once
+    db2 = plan.databases[1]
+    extra = Query(terms=next(q for q in db2 if q.round == 2).terms, noise_slot=len(db2) + 1)
+    for queries in (db2[:-1], db2 + (extra,)):
+        edited = dataclasses.replace(plan, databases=(plan.databases[0], queries))
+        rows = [line.split(" | ") for line in plan_to_table(edited).splitlines()[2:]]
+        cells = sorted(row[1].rstrip(" |") for row in rows)
+        want = sorted(_render_query(qr, 2) for qr in queries)
+        assert [c for c in cells if c and not c.startswith("(")] == want
 
 
 def test_trivial_scheme_omits_idle_databases():
@@ -246,7 +282,7 @@ def test_violations_detect_tampering():
     qs[i3] = Query(terms=terms, noise_slot=qs[i3].noise_slot)
     dbs = list(plan.databases)
     dbs[0] = tuple(qs)
-    bad = dataclasses.replace(plan, databases=tuple(dbs), stages=None)
+    bad = dataclasses.replace(plan, databases=tuple(dbs))
     assert any("side information" in v for v in plan_violations(bad))
 
 
