@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -256,3 +257,109 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *args, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: one SHA-256 prefix of (exit code, stdout, stderr) per
+# invocation, so any change to what the CLI prints shows up by name.
+# ---------------------------------------------------------------------------
+
+WORKED = ["-M", "3", "-N", "2", "--mu", "1/4,1/2"]
+MU_STAR_54 = ["-M", "5", "-N", "4", "--mu", "0,1/9,2/9,1/3"]
+
+
+def _plan_files(directory):
+    """The honest worked-example plan (desired 1, seed 7) and its
+    fault-injected variants, written as plan documents."""
+    from faults import broken_symmetry, rewired_side_information, shorter_key
+
+    from wtcpir import EavesdropProfile, build_plan, plan_to_json
+
+    mu = EavesdropProfile(["1/4", "1/2"])
+    honest = build_plan(3, 2, (1, 2, 2), mu, desired=1, seed=7)
+    plans = {
+        "honest": honest,
+        "shorter-key": shorter_key(honest),
+        "rewired": rewired_side_information(honest),
+        "broken-symmetry": broken_symmetry(3, 2, (1, 2, 2), mu, seed=7)[0],
+    }
+    paths = {}
+    for kind, plan in plans.items():
+        paths[kind] = directory / f"{kind}.json"
+        paths[kind].write_text(plan_to_json(plan), encoding="utf-8")
+    return paths
+
+
+GOLDEN_INVOCATIONS = {
+    "capacity-json": ["capacity", *WORKED],
+    "capacity-table": ["capacity", *WORKED, "--format", "table"],
+    "capacity-csv": ["capacity", *WORKED, "--format", "csv"],
+    "capacity-54-json": ["capacity", *MU_STAR_54],
+    "capacity-54-table": ["capacity", *MU_STAR_54, "--format", "table"],
+    "capacity-54-csv": ["capacity", *MU_STAR_54, "--format", "csv"],
+    "scheme": ["scheme", *WORKED],
+    "plan-json": ["plan", *WORKED, "--seed", "7"],
+    "plan-table": ["plan", *WORKED, "--seed", "7", "--format", "table"],
+    "plan-bad-sequence": ["plan", *WORKED, "--n", "1,2,3"],
+    "plan-small-field": ["plan", *WORKED, "--field-q", "17"],
+    "plan-bad-desired": ["plan", *WORKED, "--desired", "5"],
+    **{
+        f"{command}-{kind}-{fmt}": [command, "--plan", kind, "--seed", "3", "--format", fmt]
+        + (["--trials", "20"] if command == "audit" else [])
+        for command in ("simulate", "audit")
+        for kind in ("honest", "shorter-key", "rewired", "broken-symmetry")
+        for fmt in ("json", "table")
+    },
+    "sweep-csv": ["sweep", "-M", "3", "-N", "2", "--step", "1/4", "--mu-max", "1/2"],
+    "sweep-json": ["sweep", "-M", "3", "-N", "2", "--step", "1/4", "--mu-max", "1/2",
+                   "--format", "json"],
+}
+
+GOLDEN_DIGESTS = {
+    "audit-broken-symmetry-json": "71c11518080e6685",
+    "audit-broken-symmetry-table": "777ac5ba90a381dc",
+    "audit-honest-json": "2a218b44f29f1ccd",
+    "audit-honest-table": "f67d919f33881f12",
+    "audit-rewired-json": "5f0c2a9af97e2342",
+    "audit-rewired-table": "e2c9349ab5c31be7",
+    "audit-shorter-key-json": "50f2b3b1aa6f5870",
+    "audit-shorter-key-table": "c2a6c90ad4f33b6f",
+    "capacity-54-csv": "87031e07b11a2c5c",
+    "capacity-54-json": "b9cdbfc4a82c81a4",
+    "capacity-54-table": "8b680b8094e246f8",
+    "capacity-csv": "a495c38ae8cee348",
+    "capacity-json": "740077280aac619c",
+    "capacity-table": "19e3268d8ac91aed",
+    "plan-bad-desired": "3ee41097e26babc5",
+    "plan-bad-sequence": "4059f6faafdabbc5",
+    "plan-json": "e30ad336f5b07167",
+    "plan-small-field": "d88f3da2d248946e",
+    "plan-table": "54b8962cd45a704b",
+    "scheme": "0d5fa2b7369650da",
+    "simulate-broken-symmetry-json": "6961109e4d37bc68",
+    "simulate-broken-symmetry-table": "6961109e4d37bc68",
+    "simulate-honest-json": "52af24bb4906891b",
+    "simulate-honest-table": "3d7ae7d06d25191d",
+    "simulate-rewired-json": "aed8ac5f4bdb5150",
+    "simulate-rewired-table": "aed8ac5f4bdb5150",
+    "simulate-shorter-key-json": "62a09d7db5570c5f",
+    "simulate-shorter-key-table": "5e2eb91cd7b2ff53",
+    "sweep-csv": "a32b0578b72c010b",
+    "sweep-json": "9fa70c11b82a481a",
+}
+
+
+@pytest.fixture(scope="module")
+def plan_files(tmp_path_factory):
+    return _plan_files(tmp_path_factory.mktemp("plans"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INVOCATIONS))
+def test_cli_golden_output(name, plan_files, capsys):
+    argv = list(GOLDEN_INVOCATIONS[name])
+    if "--plan" in argv:
+        i = argv.index("--plan") + 1
+        argv[i] = str(plan_files[argv[i]])
+    code, out, err = run_cli(capsys, *argv)
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()[:16]
+    assert digest == GOLDEN_DIGESTS[name], (code, out[:200], err[:200])
