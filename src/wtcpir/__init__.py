@@ -24,7 +24,6 @@ from .fieldmath import (
 )
 from .planner import (
     PURE_NOISE,
-    PlanConstructionError,
     Query,
     QueryPlan,
     build_plan,
@@ -73,7 +72,6 @@ __all__ = [
     "MdsCode",
     "MessageStore",
     "PURE_NOISE",
-    "PlanConstructionError",
     "PlanDimensions",
     "Query",
     "QueryPlan",

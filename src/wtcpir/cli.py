@@ -28,7 +28,6 @@ from typing import Sequence
 from .capacity import upper_bound
 from .fieldmath import parse_rational
 from .planner import (
-    PlanConstructionError,
     build_plan,
     plan_from_json,
     plan_stats,
@@ -209,15 +208,6 @@ def cmd_plan(args) -> int:
         g, _ = best_scheme(args.M, args.N, mu)
     try:
         plan = build_plan(args.M, args.N, g, mu, desired=args.desired, seed=args.seed, q=args.field_q)
-    except PlanConstructionError as exc:
-        err = {
-            "error": str(exc),
-            "round": exc.round,
-            "group": exc.group,
-            "database": exc.database,
-        }
-        sys.stderr.write(json.dumps(err, indent=2) + "\n")
-        return 2
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = plan_to_json(plan)

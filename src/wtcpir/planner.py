@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -38,24 +38,6 @@ from .schemes import (
 #: Sentinel terms value for a pure-noise download (a query with no message
 #: content; its answer is a bare artificial-noise symbol).
 PURE_NOISE: tuple = ()
-
-
-class PlanConstructionError(ValueError):
-    """Plan generation could not satisfy the wiring invariants.
-
-    Carries the round, group, and database where construction failed so
-    the failure is diagnosable rather than silently producing an invalid
-    plan.
-    """
-
-    def __init__(self, round_: int, group: int, database: int, detail: str) -> None:
-        self.round = round_
-        self.group = group
-        self.database = database
-        super().__init__(
-            f"plan construction failed at round {round_}, group {group}, "
-            f"database {database}: {detail}"
-        )
 
 
 @dataclass(frozen=True)
@@ -98,10 +80,12 @@ class Query:
 class QueryPlan:
     """A complete, executable download schedule.
 
+    It is constructed from exactly what its JSON document holds.
     ``databases[d-1]`` lists database d's queries in wire order (length
-    t_d, exactly key_len_d of them pure noise).  ``permutations[m-1]`` is
-    the bijection taking logical slot s to the physical symbol index
-    ``permutations[m-1][s-1]`` of message m.
+    t_d, exactly key_len_d of them pure noise).  ``M``, ``N``, ``dims``
+    and ``permutations`` are derived from the sequence, profile and seed:
+    ``permutations[m-1]`` is the bijection taking logical slot s to the
+    physical symbol index ``permutations[m-1][s-1]`` of message m.
 
     Every plan, built or loaded, is checked on construction: it lists N
     databases, ``desired`` lies in 1..M, every noise slot of database d
@@ -110,23 +94,28 @@ class QueryPlan:
     and query.
     """
 
-    M: int
-    N: int
     q: int
     group_sequence: GroupSequence
     mu: EavesdropProfile
-    dims: PlanDimensions
     desired: int
     seed: int
-    permutations: tuple[tuple[int, ...], ...]
     databases: tuple[tuple[Query, ...], ...]
+    M: int = field(init=False)
+    N: int = field(init=False)
+    dims: PlanDimensions = field(init=False)
+    permutations: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        g, dims = self.group_sequence, repetition_factor(self.group_sequence, self.mu)
+        object.__setattr__(self, "M", g.M)
+        object.__setattr__(self, "N", g.N)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "permutations", _permutations_for(self.seed, g.M, dims.L))
         if len(self.databases) != self.N:
             raise ValueError(f"{len(self.databases)} databases listed, expected N={self.N}")
         if not 1 <= self.desired <= self.M:
             raise ValueError(f"desired message {self.desired} out of range 1..{self.M}")
-        L = self.dims.L
+        L = dims.L
         for d, queries in enumerate(self.databases, start=1):
             for i, qr in enumerate(queries, start=1):
                 if qr.noise_slot > len(queries):
@@ -192,12 +181,13 @@ def build_plan(
 
     Raises
     ------
-    PlanConstructionError
-        If the side-information wiring cannot be satisfied (names the
-        round, group, and database).
     ValueError
         For invalid inputs, including a field too small for the noise
         code ("field too small").
+    RuntimeError
+        If the built plan breaks an invariant of ``plan_violations``.  The
+        stage-count recurrence sizes every stage the construction needs,
+        so this signals a defect in the builder, not in the inputs.
     """
     if not isinstance(g, GroupSequence):
         g = derive_groups(M, N, tuple(g))
@@ -209,8 +199,7 @@ def build_plan(
         raise ValueError(f"desired message {desired} out of range 1..{M}")
 
     dims = repetition_factor(g, mu)
-    sc = stage_counts(g)
-    L = dims.L
+    y01 = stage_counts(g).of(0, 1)
     t_max = max(dims.t)
     if q is None:
         q = smallest_prime_at_least(t_max + 1)
@@ -233,21 +222,15 @@ def build_plan(
     # order; each maps every k-subset of messages to the terms downloaded
     stage_sets: dict[tuple[int, int, int], list[dict[frozenset[int], tuple]]] = {}
 
-    def stage(d: int, rep: int, k: int, group: int, side_of) -> None:
+    def stage(d: int, rep: int, k: int, side_of) -> None:
         """One stage: every k-subset is a sum of fresh undesired symbols, or
         one fresh desired symbol plus the side terms ``side_of`` supplies
-        for the rest of the subset (None when there are none left)."""
+        for the rest of the subset."""
         terms_of: dict[frozenset[int], tuple] = {}
         for tup in combinations(range(1, M + 1), k):
             su = frozenset(tup)
             if desired in su:
-                side = side_of(su - {desired})
-                if side is None:
-                    raise PlanConstructionError(
-                        k, group, d,
-                        f"no side information left for {sorted(su - {desired})}",
-                    )
-                terms_of[su] = tuple(sorted(side + (fresh(desired),)))
+                terms_of[su] = tuple(sorted(side_of(su - {desired}) + (fresh(desired),)))
             else:
                 terms_of[su] = tuple(fresh(m) for m in tup)
         stage_sets.setdefault((rep, d, k), []).append(terms_of)
@@ -256,20 +239,17 @@ def build_plan(
         for k in range(1, M + 1):
             for d in active:
                 group = g.group_of(d)
-                assert group is not None
-                expected = sc.of(group, k)
-                before = len(stage_sets.get((rep, d, k), []))
                 if k == 1:
                     if group == 0:
-                        for _ in range(expected):
-                            stage(d, rep, 1, group, lambda rest: ())
+                        for _ in range(y01):
+                            stage(d, rep, 1, lambda rest: ())
                 elif group < k:
                     # a group-l database only participates from round l+1 on
                     for dp in active:
                         if dp == d:
                             continue
                         for sigma in stage_sets.get((rep, dp, k - 1), []):
-                            stage(d, rep, k, group, sigma.get)
+                            stage(d, rep, k, sigma.get)
                     if group >= 2 and k == group + 1:
                         # late joiners take their side information from the
                         # round-1 singles, first in first out
@@ -283,30 +263,11 @@ def build_plan(
                             if m != desired
                         }
 
-                        def pop(rest: frozenset[int]) -> tuple | None:
-                            if not all(pools[m] for m in rest):
-                                return None
+                        def pop(rest: frozenset[int]) -> tuple:
                             return tuple(pools[m].popleft() for m in sorted(rest))
 
                         for _ in range(g.n[0] * g.xi[group]):
-                            stage(d, rep, k, group, pop)
-                built = len(stage_sets.get((rep, d, k), [])) - before
-                if built != expected:
-                    raise PlanConstructionError(
-                        k, group, d,
-                        f"built {built} stages but dimensioning requires {expected}",
-                    )
-
-    if counters[desired] != L:
-        raise PlanConstructionError(
-            M, 0, 0,
-            f"desired-symbol accounting off: used {counters[desired]} slots of {L}",
-        )
-    over = [m for m, c in counters.items() if c > L]
-    if over:
-        raise PlanConstructionError(
-            M, 0, 0, f"messages {over} need more than L={L} symbol slots"
-        )
+                            stage(d, rep, k, pop)
 
     databases: list[tuple[Query, ...]] = []
     for d in range(1, N + 1):
@@ -318,33 +279,17 @@ def build_plan(
             for terms_of in stage_sets.get((rep, d, k), [])
             for terms in terms_of.values()
         ]
-        t_d = dims.t[d - 1]
-        key_len = dims.key_len[d - 1]
-        if len(cons) + key_len != t_d:
-            raise PlanConstructionError(
-                M, g.group_of(d) or 0, d,
-                f"download accounting off: {len(cons)} meaningful + {key_len} noise != t={t_d}",
-            )
         databases.append(tuple(
             Query(terms=cons[ci] if ci < len(cons) else PURE_NOISE, noise_slot=p)
-            for p, ci in enumerate(_wire_order(seed, d, t_d), start=1)
+            for p, ci in enumerate(_wire_order(seed, d, dims.t[d - 1]), start=1)
         ))
 
     plan = QueryPlan(
-        M=M,
-        N=N,
-        q=q,
-        group_sequence=g,
-        mu=mu,
-        dims=dims,
-        desired=desired,
-        seed=seed,
-        permutations=_permutations_for(seed, M, L),
-        databases=tuple(databases),
+        q=q, group_sequence=g, mu=mu, desired=desired, seed=seed, databases=tuple(databases)
     )
     problems = plan_violations(plan)
     if problems:
-        raise PlanConstructionError(0, 0, 0, "; ".join(problems))
+        raise RuntimeError("built plan breaks its invariants: " + "; ".join(problems))
     return plan
 
 
@@ -622,30 +567,22 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")
     meta = doc["meta"]
-    M, N, q = int(meta["M"]), int(meta["N"]), int(meta["q"])
-    mu = EavesdropProfile(meta["mu"])
-    g = derive_groups(M, N, tuple(int(v) for v in meta["n"]))
-    dims = repetition_factor(g, mu)
-    seed = int(meta["seed"])
-    databases = tuple(
-        tuple(
-            Query(
-                terms=tuple((int(m), int(s)) for m, s in entry["terms"]),
-                noise_slot=int(entry["noise_slot"]),
-            )
-            for entry in db["queries"]
-        )
-        for db in doc["databases"]
-    )
     return QueryPlan(
-        M=M,
-        N=N,
-        q=q,
-        group_sequence=g,
-        mu=mu,
-        dims=dims,
+        q=int(meta["q"]),
+        mu=EavesdropProfile(meta["mu"]),
+        group_sequence=derive_groups(
+            int(meta["M"]), int(meta["N"]), tuple(int(v) for v in meta["n"])
+        ),
         desired=int(meta["desired"]),
-        seed=seed,
-        permutations=_permutations_for(seed, M, dims.L),
-        databases=databases,
+        seed=int(meta["seed"]),
+        databases=tuple(
+            tuple(
+                Query(
+                    terms=tuple((int(m), int(s)) for m, s in entry["terms"]),
+                    noise_slot=int(entry["noise_slot"]),
+                )
+                for entry in db["queries"]
+            )
+            for db in doc["databases"]
+        ),
     )

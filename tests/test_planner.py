@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from wtcpir.planner import (
-    PlanConstructionError,
     Query,
     _render_query,
     build_plan,
@@ -285,8 +284,3 @@ def test_violations_detect_tampering():
     bad = dataclasses.replace(plan, databases=tuple(dbs))
     assert any("side information" in v for v in plan_violations(bad))
 
-
-def test_construction_error_names_location():
-    err = PlanConstructionError(3, 2, 2, "test detail")
-    assert err.round == 3 and err.group == 2 and err.database == 2
-    assert "round 3" in str(err) and "group 2" in str(err) and "database 2" in str(err)
