@@ -6,7 +6,7 @@ capacity   exact upper bound, best scheme rate, and gap for one profile
 scheme     the best scheme's dimensioning (sequence, repetitions, keys)
 plan       build a query plan; write JSON and a markdown table
 simulate   execute a plan end to end and report the decode verdict
-audit      run privacy, security, and decodability audits on a plan
+audit      run privacy, security, decodability, and structure audits on a plan
 sweep      grid of profiles -> CSV of upper/lower bounds and gaps
 
 Exit codes: 0 success / all audits pass, 1 audit or decode failure,
@@ -33,6 +33,7 @@ from .planner import (
     plan_stats,
     plan_to_json,
     plan_to_table,
+    plan_violations,
 )
 from .protocol import (
     audit_decodability,
@@ -261,20 +262,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     plan = _load_plan(args.plan)
-    privacy = audit_privacy([
-        build_plan(plan.M, plan.N, plan.group_sequence, plan.mu, desired=i, seed=plan.seed)
-        for i in range(1, plan.M + 1)
-    ])
-    security = audit_security(plan)
-    decod = audit_decodability(plan, trials=args.trials, seed=args.seed)
-    status = "PASS" if all(r["status"] == "PASS" for r in (privacy, security, decod)) else "FAIL"
-    report = {
-        "status": status,
-        "privacy": privacy,
-        "security": security,
-        "decodability": decod,
+    violations = plan_violations(plan)
+    audits = {
+        "privacy": audit_privacy([
+            build_plan(plan.M, plan.N, plan.group_sequence, plan.mu, desired=i, seed=plan.seed)
+            for i in range(1, plan.M + 1)
+        ]),
+        "security": audit_security(plan),
+        "decodability": audit_decodability(plan, trials=args.trials, seed=args.seed),
+        "structure": {
+            "audit": "structure",
+            "status": "FAIL" if violations else "PASS",
+            "violations": violations,
+        },
     }
-    _dump(_jsonable(report), args.format, args.out)
+    status = "PASS" if all(r["status"] == "PASS" for r in audits.values()) else "FAIL"
+    _dump(_jsonable({"status": status, **audits}), args.format, args.out)
     return 0 if status == "PASS" else 1
 
 
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("audit", help="privacy, security, and decodability audits")
+    p = sub.add_parser("audit", help="privacy, security, decodability, and structure audits")
     p.add_argument("--plan", required=True, help="path to a plan JSON document")
     p.add_argument("--trials", type=int, default=100, help="decodability trials")
     p.add_argument("--seed", type=int, default=0, help="seed for decodability trials")

@@ -116,7 +116,8 @@ def test_plan_simulate_audit_pipeline(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["status"] == "PASS"
-    assert {rep["privacy"]["status"], rep["security"]["status"], rep["decodability"]["status"]} == {"PASS"}
+    assert {rep[k]["status"] for k in ("privacy", "security", "decodability", "structure")} == {"PASS"}
+    assert rep["structure"]["violations"] == []
 
 
 def test_audit_tampered_plan_exits_one(tmp_path, capsys):
@@ -134,6 +135,34 @@ def test_audit_tampered_plan_exits_one(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["status"] == "FAIL"
     assert rep["security"]["status"] == "FAIL"
+
+
+def test_audit_structure_catches_a_dropped_side_term(tmp_path, capsys):
+    # database 2's query 4 downloads b_3 + c_1 (desired 2); dropping its side
+    # term c_1 leaves a lone download of message 2 there, which privacy
+    # (rebuilt from meta), security and decodability all PASS
+    plan_path = tmp_path / "plan.json"
+    run_cli(
+        capsys, "plan", "-M", "3", "-N", "2", "--mu", "1/4,1/2",
+        "--seed", "7", "--desired", "2", "--out", str(plan_path),
+    )
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    query = doc["databases"][1]["queries"][3]
+    assert query["terms"] == [[2, 3], [3, 1]]
+    query["terms"] = [[2, 3]]
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path), "--trials", "5")
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "FAIL"
+    assert [rep[k]["status"] for k in ("privacy", "security", "decodability")] == ["PASS"] * 3
+    assert rep["structure"] == {
+        "audit": "structure",
+        "status": "FAIL",
+        "violations": [
+            "db 2 round 1: subset (2,) appears 1 times, complete stages require 0",
+            "db 2 round 2: subset (2, 3) appears 2 times, complete stages require 3",
+        ],
+    }
 
 
 def _set_noise_slot(doc, value):
@@ -316,14 +345,14 @@ GOLDEN_INVOCATIONS = {
 }
 
 GOLDEN_DIGESTS = {
-    "audit-broken-symmetry-json": "71c11518080e6685",
-    "audit-broken-symmetry-table": "777ac5ba90a381dc",
-    "audit-honest-json": "2a218b44f29f1ccd",
-    "audit-honest-table": "f67d919f33881f12",
-    "audit-rewired-json": "5f0c2a9af97e2342",
-    "audit-rewired-table": "e2c9349ab5c31be7",
-    "audit-shorter-key-json": "50f2b3b1aa6f5870",
-    "audit-shorter-key-table": "c2a6c90ad4f33b6f",
+    "audit-broken-symmetry-json": "aea460dd28ab0b80",
+    "audit-broken-symmetry-table": "1b11246df59dcdfe",
+    "audit-honest-json": "4b20b29ba30f7ea7",
+    "audit-honest-table": "865c9a4144a497ca",
+    "audit-rewired-json": "43361cd4eb7fd9c7",
+    "audit-rewired-table": "e6ff49446b7474d9",
+    "audit-shorter-key-json": "b3547a2a058a1a97",
+    "audit-shorter-key-table": "3f5b3d507eeb92a1",
     "capacity-54-csv": "87031e07b11a2c5c",
     "capacity-54-json": "b9cdbfc4a82c81a4",
     "capacity-54-table": "8b680b8094e246f8",
