@@ -407,8 +407,9 @@ def plan_violations(plan: QueryPlan) -> list[str]:
 def plan_stats(plan: QueryPlan) -> dict:
     """Recompute headline numbers from the wire structure.
 
-    Returns a JSON-friendly dict with the answer lengths, desired-symbol
-    count, exact rate L / sum(t), and per-round stage counts per database
+    Returns a JSON-friendly dict with the answer lengths, pure-noise
+    download counts (``key_len``), desired-symbol count, exact rate
+    L / sum(t), and per-round stage counts per database
     (round-k query count divided by binom(M, k): an int for complete
     stages, otherwise an exact ``Fraction``).
     """
@@ -440,7 +441,7 @@ def plan_stats(plan: QueryPlan) -> dict:
         "nu": plan.dims.nu,
         "desired": plan.desired,
         "t": list(t),
-        "key_len": list(plan.dims.key_len),
+        "key_len": [sum(qr.is_pure_noise for qr in qs) for qs in plan.databases],
         "total_download": total,
         "L": L,
         "rate": Fraction(L, total),

@@ -371,8 +371,8 @@ GOLDEN_DIGESTS = {
     "simulate-honest-table": "3d7ae7d06d25191d",
     "simulate-rewired-json": "aed8ac5f4bdb5150",
     "simulate-rewired-table": "aed8ac5f4bdb5150",
-    "simulate-shorter-key-json": "62a09d7db5570c5f",
-    "simulate-shorter-key-table": "5e2eb91cd7b2ff53",
+    "simulate-shorter-key-json": "36db8aa8776eb57a",
+    "simulate-shorter-key-table": "2b97e7e287821088",
     "sweep-csv": "a32b0578b72c010b",
     "sweep-json": "9fa70c11b82a481a",
 }

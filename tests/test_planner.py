@@ -18,12 +18,15 @@ from wtcpir.planner import (
     plan_to_table,
     plan_violations,
 )
+from wtcpir.protocol import audit_security
 from wtcpir.schemes import (
     EavesdropProfile,
     achievable_rate,
     enumerate_sequences,
     stage_counts,
 )
+
+import faults
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU0 = EavesdropProfile([0, 0])
@@ -126,6 +129,14 @@ def test_plans_match_golden_digest():
                         count += 1
     assert count == 172
     assert digest.hexdigest() == "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468"
+
+
+def test_stats_count_the_key_on_the_wire():
+    plan = worked_plan()
+    short = faults.shorter_key(plan)
+    assert plan_stats(short)["key_len"] == [3, 9]
+    assert audit_security(short)["databases"][0]["key_len"] == 3
+    assert plan_stats(plan)["key_len"] == list(plan.dims.key_len) == [4, 9]
 
 
 def test_stage_counts_on_wire():
