@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, combinations_with_replacement, product
 from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
@@ -321,14 +321,15 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
 def closed_form_capacity(M: int, N: int, mu: EavesdropProfile) -> Fraction:
     """Exact capacity for M = 2 or 3 messages over N databases.
 
-    Maximizes the two/three-group closed forms over monotone tuples:
+    Maximizes the group closed form over monotone tuples n = (n_0, ..., n_{M-1}):
 
-        M = 2: n0*n1 / [ (n0+1) * X(1..n0) + n0 * X(n0+1..n1) ]
-        M = 3: n0*n1*n2 / [ (n0*n1+n0+1) * X(1..n0)
-                            + (n0*n1+n0) * X(n0+1..n1) + n0*n1 * X(n1+1..n2) ]
+        n_0 * ... * n_{M-1} / sum_k W_k * X(n_{k-1}+1 .. n_k),   n_{-1} = 0,
 
-    where X(a..b) sums 1/(1 - mu_n) over databases a..b.  For these M the
-    value matches both the LP bound and the best scheme exactly.
+    with prefix products P_0 = 1, P_i = n_0 * ... * n_{i-1}, weights
+    W_k = P_k + ... + P_{M-1}, and X(a..b) the sum of 1/(1 - mu_n) over
+    databases a..b.  For M = 3 the weights are n0*n1+n0+1, n0*n1+n0 and
+    n0*n1.  For these M the value matches both the LP bound and the best
+    scheme exactly.
     """
     if M not in (2, 3):
         raise ValueError(f"closed form covers M in {{2, 3}}, got {M}")
@@ -338,31 +339,14 @@ def closed_form_capacity(M: int, N: int, mu: EavesdropProfile) -> Fraction:
     for n in range(1, N + 1):
         xs.append(xs[-1] + 1 / (1 - mu.mu[n - 1]))
 
-    def xrange(a: int, b: int) -> Fraction:
-        return xs[b] - xs[a - 1]
+    def value(n: tuple[int, ...]) -> Fraction:
+        prefix = list(accumulate(n[:-1], mul, initial=1))
+        denom = sum(
+            sum(prefix[k:]) * (xs[b] - xs[a]) for k, (a, b) in enumerate(zip((0,) + n, n))
+        )
+        return prefix[-1] * n[-1] / denom
 
-    best: Fraction | None = None
-    if M == 2:
-        for n0 in range(1, N + 1):
-            for n1 in range(n0, N + 1):
-                denom = (n0 + 1) * xrange(1, n0) + n0 * xrange(n0 + 1, n1)
-                value = Fraction(n0 * n1) / denom
-                if best is None or value > best:
-                    best = value
-    else:
-        for n0 in range(1, N + 1):
-            for n1 in range(n0, N + 1):
-                for n2 in range(n1, N + 1):
-                    denom = (
-                        (n0 * n1 + n0 + 1) * xrange(1, n0)
-                        + (n0 * n1 + n0) * xrange(n0 + 1, n1)
-                        + (n0 * n1) * xrange(n1 + 1, n2)
-                    )
-                    value = Fraction(n0 * n1 * n2) / denom
-                    if best is None or value > best:
-                        best = value
-    assert best is not None
-    return best
+    return max(map(value, combinations_with_replacement(range(1, N + 1), M)))
 
 
 def gap(M: int, N: int, mu: EavesdropProfile) -> Fraction:
