@@ -91,19 +91,19 @@ def test_late_group_shapes():
 
 
 def test_generator_scope_and_rate_accounting():
-    # every monotone sequence up to M=5, N=4 builds cleanly, and the wire
-    # structure reproduces the dimensioning rate exactly
-    for M in range(2, 6):
-        for N in range(2, 5):
-            profiles = [
-                EavesdropProfile([0] * N),
-                EavesdropProfile([Fraction(2**i - 1, 2**i) for i in range(1, N + 1)]),
-            ]
-            for g in enumerate_sequences(M, N):
-                for mu in profiles:
-                    plan = build_plan(M, N, g, mu, desired=min(2, M), seed=3)
-                    assert plan_violations(plan) == [], (M, N, g.n)
-                    assert plan_stats(plan)["rate"] == achievable_rate(g, mu)
+    # every monotone sequence up to M=5, N=4 and at M=6, N<=3 builds cleanly,
+    # and the wire structure reproduces the dimensioning rate exactly
+    shapes = [(M, N) for M in range(2, 6) for N in range(2, 5)] + [(6, 2), (6, 3)]
+    for M, N in shapes:
+        profiles = [
+            EavesdropProfile([0] * N),
+            EavesdropProfile([Fraction(2**i - 1, 2**i) for i in range(1, N + 1)]),
+        ]
+        for g in enumerate_sequences(M, N):
+            for mu in profiles:
+                plan = build_plan(M, N, g, mu, desired=min(2, M), seed=3)
+                assert plan_violations(plan) == [], (M, N, g.n)
+                assert plan_stats(plan)["rate"] == achievable_rate(g, mu)
 
 
 def test_plans_match_golden_digest():
