@@ -106,7 +106,8 @@ class QueryPlan:
     permutations: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        g, dims = self.group_sequence, repetition_factor(self.group_sequence, self.mu)
+        g = self.group_sequence
+        dims = repetition_factor(g, self.mu)
         object.__setattr__(self, "M", g.M)
         object.__setattr__(self, "N", g.N)
         object.__setattr__(self, "dims", dims)

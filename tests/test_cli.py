@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from wtcpir import EavesdropProfile, build_plan, plan_to_json
 from wtcpir.cli import main
+
+from faults import broken_symmetry, rewired_side_information, shorter_key
 
 
 def run_cli(capsys, *argv):
@@ -300,10 +303,6 @@ MU_STAR_54 = ["-M", "5", "-N", "4", "--mu", "0,1/9,2/9,1/3"]
 def _plan_files(directory):
     """The honest worked-example plan (desired 1, seed 7) and its
     fault-injected variants, written as plan documents."""
-    from faults import broken_symmetry, rewired_side_information, shorter_key
-
-    from wtcpir import EavesdropProfile, build_plan, plan_to_json
-
     mu = EavesdropProfile(["1/4", "1/2"])
     honest = build_plan(3, 2, (1, 2, 2), mu, desired=1, seed=7)
     plans = {
