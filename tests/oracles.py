@@ -260,6 +260,28 @@ def rank_gf(rows, q: int) -> int:
     return rank
 
 
+def gauss_jordan_solve(a, b, q: int) -> list[int]:
+    """Solve the square system a.x = b over GF(q) by full Gauss-Jordan
+    elimination of the augmented matrix: per column, the first nonzero row
+    at or below the diagonal is swapped up, scaled to a leading 1, and
+    cleared from every other row at full width.  Raises ``ValueError``
+    ("singular system") when some column has no pivot."""
+    n = len(a)
+    aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
+    for c in range(n):
+        r = next((i for i in range(c, n) if aug[i][c]), None)
+        if r is None:
+            raise ValueError("singular system")
+        aug[c], aug[r] = aug[r], aug[c]
+        inv = pow(aug[c][c], q - 2, q)
+        aug[c] = [v * inv % q for v in aug[c]]
+        for i in range(n):
+            f = aug[i][c]
+            if f and i != c:
+                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[c])]
+    return [row[n] for row in aug]
+
+
 def vandermonde(t: int, k: int, q: int):
     return [[pow(i + 1, j, q) for j in range(k)] for i in range(t)]
 

@@ -11,12 +11,13 @@ from wtcpir.fieldmath import (
     is_prime,
     mat_rank,
     mat_solve,
+    mat_vec,
     mds_generator,
     parse_rational,
     smallest_prime_at_least,
 )
 
-from oracles import rank_gf, vandermonde
+from oracles import gauss_jordan_solve, rank_gf, vandermonde
 
 
 def test_is_prime_small_table():
@@ -68,6 +69,81 @@ def test_mat_solve_round_trip_and_singular():
     assert mat_solve(a, b, q) == x
     with pytest.raises(ValueError, match="singular"):
         mat_solve([[1, 2], [2, 4]], [1, 2], 11)
+
+
+PRIMES = (2, 3, 11, 137, 541)
+
+
+def test_mat_solve_matches_gauss_jordan_oracle():
+    # random systems; the singular draws (common over GF(2)) must raise in both
+    rng = random.Random(17)
+    cases = [(q, n) for q in PRIMES for n in range(13)] + [(137, 40), (541, 40), (137, 80)]
+    for q, n in cases:
+        while True:
+            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            b = [rng.randrange(q) for _ in range(n)]
+            try:
+                want = gauss_jordan_solve(a, b, q)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular"):
+                    mat_solve(a, b, q)
+                continue
+            break
+        x = mat_solve(a, b, q)
+        assert x == want, (q, n)
+        assert mat_vec(a, x, q) == b
+    assert mat_solve([], [], 7) == []
+
+
+def test_planted_singular_systems_raise():
+    rng = random.Random(19)
+    for q in PRIMES:
+        for n in (2, 5, 12):
+            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            b = [rng.randrange(q) for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            repeated = [list(row) for row in a]
+            repeated[j] = list(a[i])
+            # row j becomes a combination of the others, left unreduced
+            combined = [list(row) for row in a]
+            coeffs = [rng.randrange(-q, 2 * q) for _ in range(n)]
+            combined[j] = [sum(c * row[k] for c, row in zip(coeffs, a) if row is not a[j]) for k in range(n)]
+            zero_column = [row[:i] + [0] + row[i + 1:] for row in a]
+            for m in (repeated, combined, zero_column):
+                for solve in (mat_solve, gauss_jordan_solve):
+                    with pytest.raises(ValueError, match="singular"):
+                        solve(m, b, q)
+
+
+def test_mat_solve_reduces_entries_outside_the_field():
+    rng = random.Random(23)
+    for q in PRIMES:
+        for n in (1, 4, 9):
+            while True:
+                a = [[rng.randrange(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
+                if rank_gf([[v % q for v in row] for row in a], q) == n:
+                    break
+            b = [rng.randrange(-3 * q, 3 * q) for _ in range(n)]
+            x = mat_solve(a, b, q)
+            assert x == gauss_jordan_solve(a, b, q)
+            assert x == mat_solve([[v % q for v in row] for row in a], [v % q for v in b], q)
+            assert all(0 <= v < q for v in x)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [(12, 5, 3), (4, 15, 2), (8, 8, 8), (7, 9, 0), (0, 5, 0), (6, 0, 0)],
+    ids=["tall", "wide", "square", "zero-matrix", "zero-row", "zero-column"],
+)
+def test_mat_rank_matches_oracle_on_planted_rank(rows, cols, rank):
+    # A = B.C with B rows x rank and C rank x cols has rank at most `rank`
+    rng = random.Random(rows * 100 + cols)
+    for q in PRIMES:
+        b = [[rng.randrange(q) for _ in range(rank)] for _ in range(rows)]
+        c = [[rng.randrange(q) for _ in range(cols)] for _ in range(rank)]
+        a = [[sum(x * c[k][j] for k, x in enumerate(row)) - q * rng.randrange(-2, 3) for j in range(cols)] for row in b]
+        assert mat_rank(a, q) == rank_gf(a, q) <= rank, q
+    assert mat_rank([], 7) == 0
 
 
 def test_generator_matches_hand_vandermonde():
