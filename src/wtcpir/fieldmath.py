@@ -1,6 +1,6 @@
-"""Exact arithmetic primitives: prime fields GF(q), one Gauss-Jordan
-elimination step over GF(q) shared by rank and solve, Vandermonde MDS
-codes, and rational helpers.
+"""Exact arithmetic primitives: prime fields GF(q), one forward-elimination
+kernel over GF(q) shared by rank and solve, Vandermonde MDS codes, and
+rational helpers.
 
 Everything in this module is exact.  Field elements are plain ints in
 [0, q) with an explicit prime modulus, matrices are lists of row lists,
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -58,62 +59,61 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over GF(q): one Gauss-Jordan step
+# Exact linear algebra over GF(q): one forward-elimination kernel
 # ---------------------------------------------------------------------------
 
-def pivot(m: list[list[int]], r: int, c: int, q: int) -> None:
-    """One in-place Gauss-Jordan step over GF(q): scale row ``r`` so that
-    ``m[r][c] == 1``, then clear column ``c`` from every other row.
-
-    Entries must already lie in [0, q), and stay there.  ``m[r][c]`` must
-    be nonzero.
+def _echelon(m: list[list[int]], q: int) -> Iterator[tuple[int, list[int]]]:
+    """Forward elimination over GF(q) of the rows ``m`` (entries already in
+    [0, q); the list is consumed).  For each pivot column ``c``, in order,
+    yield ``(c, tail)``: the pivot row right of column ``c``, scaled so that
+    its entry in column ``c`` is 1.  The pivot row is the first remaining
+    row nonzero in column ``c``; only the rows not yet used as pivots are
+    updated, and only right of ``c``, so each is kept from column ``c`` on.
     """
-    p = m[r][c]
-    if p != 1:
-        inv = pow(p, -1, q)
-        m[r] = [v * inv % q for v in m[r]]
-    row = m[r]
-    for i, other in enumerate(m):
-        f = other[c]
-        if f and i != r:
-            m[i] = [(a - f * b) % q for a, b in zip(other, row)]
+    rows = m
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        p, rows[i] = rows[i], rows[0]
+        inv = pow(p[0], -1, q)
+        tail = [v * inv % q for v in p[1:]]
+        rows = [[(a - f * b) % q for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:] for r in rows[1:]]
+        yield c, tail
+        if not rows:
+            return
 
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
-    """Exact rank of a matrix over GF(q) via Gauss-Jordan elimination."""
-    m = [[v % q for v in row] for row in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        r = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if r is None:
-            continue
-        m[rank], m[r] = m[r], m[rank]
-        pivot(m, rank, c, q)
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Exact rank of a matrix over GF(q): the pivot count of ``_echelon``."""
+    return sum(1 for _ in _echelon([[v % q for v in row] for row in rows], q))
 
 
 def mat_solve(a: Sequence[Sequence[int]], b: Sequence[int], q: int) -> list[int]:
-    """Solve the square system a·x = b over GF(q).
+    """Solve the square system a·x = b over GF(q): forward elimination of
+    the augmented matrix, then back-substitution over its pivot rows.
 
     Raises ``ValueError`` if the matrix is singular.
     """
     n = len(a)
-    aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
-    for c in range(n):
-        r = next((i for i in range(c, n) if aug[i][c]), None)
-        if r is None:
-            raise ValueError("singular system")
-        aug[c], aug[r] = aug[r], aug[c]
-        pivot(aug, c, c, q)
-    return [row[n] for row in aug]
+    tails = []
+    for c, tail in _echelon([[v % q for v in row] + [bv % q] for row, bv in zip(a, b)], q):
+        if c != len(tails):
+            break
+        tails.append(tail)
+    if len(tails) != n:
+        raise ValueError("singular system")
+    x: list[int] = []
+    for tail in reversed(tails):
+        # tail = (coefficients of the later unknowns, right-hand side)
+        x.insert(0, (tail[-1] - sum(map(mul, tail, x))) % q)
+    return x
 
 
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int], q: int) -> list[int]:
     """Matrix-vector product over GF(q)."""
-    return [sum(r * v for r, v in zip(row, x)) % q for row in a]
+    return [sum(map(mul, row, x)) % q for row in a]
 
 
 # ---------------------------------------------------------------------------
