@@ -238,15 +238,22 @@ def _load_plan(path: str):
 def cmd_simulate(args) -> int:
     plan = _load_plan(args.plan)
     store = random_store(plan.M, plan.dims.L, plan.q, args.seed)
-    transcript = run_retrieval(plan, store, key_seed=args.seed)
-    want = store.messages[plan.desired - 1]
-    ok = transcript.decoded == want
+    head = {"desired": plan.desired, "seed": args.seed}
+    stats = _jsonable(plan_stats(plan))
+    try:
+        transcript = run_retrieval(plan, store, key_seed=args.seed)
+    except ValueError as exc:
+        # a plan that cannot be decoded (singular noise, missing side
+        # information) is a decode failure, exit 1, not a usage error
+        report = {"verdict": "FAIL", "decoded_matches": False, **head, "error": str(exc), "stats": stats}
+        _dump(report, args.format, args.out)
+        return 1
+    ok = transcript.decoded == store.messages[plan.desired - 1]
     report = {
         "verdict": "PASS" if ok else "FAIL",
         "decoded_matches": ok,
-        "desired": plan.desired,
-        "seed": args.seed,
-        "stats": _jsonable(plan_stats(plan)),
+        **head,
+        "stats": stats,
         "transcript": {
             "answers": [list(row) for row in transcript.answers],
             "decoded": list(transcript.decoded),

@@ -241,6 +241,16 @@ def test_plan_stdout_table_format(capsys):
     assert out.startswith("| Database 1 | Database 2 |")
 
 
+@pytest.mark.parametrize("kind, slot", [("rewired", "(3, 6) for slot 12"), ("broken-symmetry", "(3, 2) for slot 4")])
+def test_simulate_undecodable_plan_fails_with_exit_1(plan_files, capsys, kind, slot):
+    code, out, err = run_cli(capsys, "simulate", "--plan", str(plan_files[kind]), "--seed", "3")
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == "FAIL" and rep["decoded_matches"] is False
+    assert rep["error"] == f"db 1: side information {slot} was never downloaded"
+    assert rep["stats"]["rate"] == "6/17" and "transcript" not in rep
+
+
 def test_simulate_missing_plan_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--plan", str(tmp_path / "missing.json"))
     assert code == 2 and "not found" in err
@@ -364,12 +374,12 @@ GOLDEN_DIGESTS = {
     "plan-small-field": "d88f3da2d248946e",
     "plan-table": "54b8962cd45a704b",
     "scheme": "0d5fa2b7369650da",
-    "simulate-broken-symmetry-json": "6961109e4d37bc68",
-    "simulate-broken-symmetry-table": "6961109e4d37bc68",
+    "simulate-broken-symmetry-json": "ffe7609d8741bfbf",
+    "simulate-broken-symmetry-table": "324631760f5c4011",
     "simulate-honest-json": "52af24bb4906891b",
     "simulate-honest-table": "3d7ae7d06d25191d",
-    "simulate-rewired-json": "aed8ac5f4bdb5150",
-    "simulate-rewired-table": "aed8ac5f4bdb5150",
+    "simulate-rewired-json": "0ebc4f6060bd7d71",
+    "simulate-rewired-table": "be23b0dbea628dc1",
     "simulate-shorter-key-json": "36db8aa8776eb57a",
     "simulate-shorter-key-table": "2b97e7e287821088",
     "sweep-csv": "a32b0578b72c010b",
