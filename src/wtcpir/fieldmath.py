@@ -79,10 +79,9 @@ def _echelon(m: list[list[int]], q: int) -> Iterator[tuple[int, list[int]]]:
         p, rows[i] = rows[i], rows[0]
         inv = pow(p[0], -1, q)
         tail = [v * inv % q for v in p[1:]]
-        rows = [[(a - f * b) % q for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:] for r in rows[1:]]
+        rows = [[(a - f * b) % q for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+                for r in rows[1:]]
         yield c, tail
-        if not rows:
-            return
 
 
 def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
@@ -97,11 +96,10 @@ def mat_solve(a: Sequence[Sequence[int]], b: Sequence[int], q: int) -> list[int]
     Raises ``ValueError`` if the matrix is singular.
     """
     n = len(a)
-    tails = []
-    for c, tail in _echelon([[v % q for v in row] + [bv % q] for row, bv in zip(a, b)], q):
-        if c != len(tails):
-            break
-        tails.append(tail)
+    aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
+    # pivot columns increase, so n pivots left of the right-hand side
+    # means one in every column
+    tails = [tail for c, tail in _echelon(aug, q) if c < n]
     if len(tails) != n:
         raise ValueError("singular system")
     x: list[int] = []
