@@ -1,5 +1,6 @@
 """Capacity upper bounds: constraint generation, its certificate, closed forms."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -178,6 +179,29 @@ def test_upper_bound_golden_where_scheme_falls_short():
     assert_certified(res, mu, 7)
     # the known N=4 gap between the LP and the best scheme
     assert gap(5, 4, mu) == Fraction(4480, 102932383)
+
+
+# the five eavesdropping profiles of the lp-ladder benchmark workload
+LADDER_FAMILY = (MU_STAR, ("1/12", "1/3", "5/12", "2/3"), ("0", "1/2", "7/12", "3/4"),
+                 ("1/6", "1/4", "1/2", "1/2"), ("1/12", "1/6", "1/3", "1/2"))
+
+
+def test_lp_results_match_golden_digest():
+    # every LP result field, pinned bit for bit: a change to how the pool,
+    # the pricing or the simplex is built must not move any of them
+    programs = [(M, N, EavesdropProfile(mu)) for mu in LADDER_FAMILY for M, N in ((5, 4), (6, 4), (7, 4))]
+    rng = random.Random(47)
+    for _ in range(120):
+        M, N, den = rng.randint(1, 5), rng.randint(1, 4), rng.choice((12, 7))
+        programs.append((M, N, EavesdropProfile(sorted(Fraction(rng.randrange(den), den) for _ in range(N)))))
+    h = hashlib.sha256()
+    for M, N, mu in programs:
+        res = upper_bound(M, N, mu)
+        h.update(repr((
+            M, N, tuple(map(str, mu.mu)), str(res.value), tuple(map(str, res.argmax_tau)),
+            res.active_sequences, tuple((n_vec, str(w)) for n_vec, w in res.dual_weights),
+        )).encode() + b"\n")
+    assert h.hexdigest()[:16] == "72d812271651a732"
 
 
 def _outcome(solve, program):
