@@ -9,7 +9,6 @@ simulation, audits) — no floating point anywhere in the results.
 from .capacity import (
     BoundResult,
     EnumerationBudgetError,
-    closed_form_capacity,
     constraint_coefficients,
     gap,
     inner_bound_at,
@@ -54,7 +53,6 @@ from .schemes import (
     best_scheme,
     derive_groups,
     enumerate_sequences,
-    n2_closed_form,
     plan_dimensions_per_rep,
     repetition_factor,
     stage_counts,
@@ -84,7 +82,6 @@ __all__ = [
     "audit_security",
     "best_scheme",
     "build_plan",
-    "closed_form_capacity",
     "constraint_coefficients",
     "decode",
     "derive_groups",
@@ -92,7 +89,6 @@ __all__ = [
     "gap",
     "inner_bound_at",
     "mds_generator",
-    "n2_closed_form",
     "outer_bound_at",
     "parse_rational",
     "plan_dimensions_per_rep",

@@ -11,9 +11,11 @@ The LP is solved by delayed constraint generation around an exact
 primal simplex (Bland's rule, on a fraction-free integer tableau).  The
 restricted program only ever holds a handful of constraints; the
 candidate optimum is certified by evaluating every sequence, so the
-result is the exact optimum of the full program.  The pool keeps each
-distinct constraint as an integer vector over one common denominator,
-so pricing a round and every simplex pivot are exact integer arithmetic.
+result is the exact optimum of the full program.
+:func:`constraint_coefficients` gives each constraint in primitive
+integer form, an integer vector over one positive denominator, so
+deduplicating the pool, pricing a round and every simplex pivot are
+exact integer arithmetic.
 
 Every bound comes with both halves of its own certificate:
 
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
-from math import lcm
+from itertools import product
+from math import gcd, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .schemes import (
     EavesdropProfile,
@@ -43,6 +45,7 @@ from .schemes import (
 )
 
 SequenceVector = tuple[int, ...]
+Form = tuple[tuple[int, ...], int]  # (a, D): the coefficient vector a / D
 
 _SEQUENCE_BUDGET = 500_000  # cap on N^(M-1) enumerated sequences
 
@@ -72,8 +75,10 @@ def sequence_vectors(M: int, N: int) -> Iterator[SequenceVector]:
     return product(range(1, N + 1), repeat=M - 1)
 
 
-def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> tuple[Fraction, ...]:
-    """Coefficients c with bound(n, tau) = c . tau.
+def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> Form:
+    """Coefficients c with bound(n, tau) = c . tau, in primitive integer
+    form (a, D): c = a / D with D > 0 and gcd(D, *a) = 1.  The form is
+    canonical, so equal coefficient vectors get equal forms.
 
     With prefix products P_0 = 1, P_i = n_1 * ... * n_i and thresholds
     l_0 = 0, l_i = n_i, the bound for sequence n is
@@ -83,7 +88,9 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> tupl
     where phi(l) = sum_{d > l} (1 - mu_d) tau_d.  Collecting the tau_d
     terms gives c_d = (1 - mu_d) * (sum of 1/P_i over i with l_i < d)
     divided by the full 1/P_i sum.  Both sums are taken over the common
-    denominator P_{M-1}, as integer sums of the weights P_{M-1}/P_i.
+    denominator P_{M-1}, as integer sums of the weights P_{M-1}/P_i, and
+    the 1 - mu_d over the lcm of the mu denominators; one gcd then makes
+    the form primitive.
     """
     weight = 1
     by_threshold = [0] * (mu.N + 1)
@@ -91,18 +98,26 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> tupl
         by_threshold[v] += weight
         weight *= v
     by_threshold[0] += weight
-    total = sum(by_threshold)
-    coeffs = []
+    den = lcm(*(m.denominator for m in mu.mu))
+    a = []
     share = 0
     for m, below in zip(mu.mu, by_threshold):
         share += below
-        den = m.denominator
-        coeffs.append(Fraction((den - m.numerator) * share, den * total))
-    return tuple(coeffs)
+        a.append((m.denominator - m.numerator) * (den // m.denominator) * share)
+    D = den * sum(by_threshold)
+    g = gcd(D, *a)
+    return tuple(v // g for v in a), D // g
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
+def _cheapest(forms: Iterable[Form], t: Sequence[int]) -> tuple[int, int, int]:
+    """The smallest a . t / D over the forms, as (a . t, D, index); the
+    first such form on ties."""
+    best_num, best_den, argmin = 1, 0, -1  # start at +infinity
+    for i, (a, D) in enumerate(forms):
+        num = sum(map(mul, a, t))
+        if num * best_den < best_num * D:
+            best_num, best_den, argmin = num, D, i
+    return best_num, best_den, argmin
 
 
 def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) -> Fraction:
@@ -112,13 +127,10 @@ def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) ->
         raise ValueError(f"tau has {len(tvec)} entries, profile has {mu.N}")
     if any(v < 0 for v in tvec) or sum(tvec) != 1:
         raise ValueError("tau outside the download-share simplex")
-    best: Fraction | None = None
-    for n_vec in sequence_vectors(M, mu.N):
-        v = _dot(constraint_coefficients(n_vec, mu), tvec)
-        if best is None or v < best:
-            best = v
-    assert best is not None
-    return best
+    T = lcm(*(v.denominator for v in tvec))
+    t = [v.numerator * (T // v.denominator) for v in tvec]
+    num, D, _ = _cheapest((constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, mu.N)), t)
+    return Fraction(num, D * T)
 
 
 def outer_bound_at(weights: Sequence[tuple[SequenceVector, RationalLike]], mu: EavesdropProfile) -> Fraction:
@@ -136,23 +148,15 @@ def outer_bound_at(weights: Sequence[tuple[SequenceVector, RationalLike]], mu: E
         raise ValueError("dual weights name sequences of unequal length")
     if any(not 1 <= v <= mu.N for n_vec, _ in weights for v in n_vec):
         raise ValueError(f"dual weights name a sequence entry outside 1..{mu.N}")
-    coeffs = [constraint_coefficients(n_vec, mu) for n_vec, _ in weights]
-    return max(_dot(lams, column) for column in zip(*coeffs))
+    forms = [constraint_coefficients(n_vec, mu) for n_vec, _ in weights]
+    scales = [lam / D for lam, (_, D) in zip(lams, forms)]
+    return max(sum(map(mul, scales, column)) for column in zip(*(a for a, _ in forms)))
 
 
-def _scaled(cv: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """Integer form (a, D) of a coefficient vector: D is the lcm of its
-    denominators and a = c * D.  Canonical, so equal vectors get equal forms."""
-    D = lcm(*(v.denominator for v in cv))
-    return tuple(v.numerator * (D // v.denominator) for v in cv), D
-
-
-def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], int]]:
-    """Deduplicated constraint pool of :func:`upper_bound`: the integer
-    forms of the distinct coefficient vectors in first-seen (enumeration)
-    order."""
-    forms = (_scaled(constraint_coefficients(n_vec, mu)) for n_vec in sequence_vectors(M, N))
-    return list(dict.fromkeys(forms))
+def _pool(M: int, N: int, mu: EavesdropProfile) -> list[Form]:
+    """Deduplicated constraint pool of :func:`upper_bound`: the distinct
+    coefficient forms in first-seen (enumeration) order."""
+    return list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +164,7 @@ def _pool(M: int, N: int, mu: EavesdropProfile) -> list[tuple[tuple[int, ...], i
 # ---------------------------------------------------------------------------
 
 def _solve_restricted(
-    forms: Sequence[tuple[tuple[int, ...], int]],
+    forms: Sequence[Form],
 ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact optimum of: max R s.t. R <= c_j . tau for all j, tau in simplex,
     with each c_j given in integer form (a_j, D_j), c_j = a_j / D_j.
@@ -257,7 +261,7 @@ def _check_sequence_budget(M: int, N: int) -> None:
     if count > _SEQUENCE_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration too large: N^(M-1) = {count} sequences exceeds the "
-            f"budget of {_SEQUENCE_BUDGET}; for M in {{2, 3}} use closed_form_capacity"
+            f"budget of {_SEQUENCE_BUDGET}"
         )
 
 
@@ -281,7 +285,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
 
     work: list[int] = []
     for j in range(1, N + 1):
-        idx = order[_scaled(constraint_coefficients((j,) * (M - 1), mu))]
+        idx = order[constraint_coefficients((j,) * (M - 1), mu)]
         if idx not in work:
             work.append(idx)
 
@@ -290,11 +294,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
         value, tau, weights = _solve_restricted([pool[i] for i in work])
         T = lcm(*(v.denominator for v in tau))
         t = [v.numerator * (T // v.denominator) for v in tau]
-        best_num, best_den, argmin = 1, 0, -1  # start at +infinity
-        for i, (a, D) in enumerate(pool):
-            num = sum(map(mul, a, t))
-            if num * best_den < best_num * D:
-                best_num, best_den, argmin = num, D, i
+        best_num, best_den, argmin = _cheapest(pool, t)
         if Fraction(best_num, best_den * T) == value:
             break
         work.append(argmin)
@@ -305,7 +305,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     support = {pool[i]: w for i, w in zip(work, weights) if w}
     active, duals = [], []
     for n_vec in sequence_vectors(M, N):
-        form = _scaled(constraint_coefficients(n_vec, mu))
+        form = constraint_coefficients(n_vec, mu)
         a, D = form
         if sum(map(mul, a, t)) * value.denominator == value.numerator * D * T:
             active.append(n_vec)
@@ -315,39 +315,8 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms and the gap
+# The gap
 # ---------------------------------------------------------------------------
-
-def closed_form_capacity(M: int, N: int, mu: EavesdropProfile) -> Fraction:
-    """Exact capacity for M = 2 or 3 messages over N databases.
-
-    Maximizes the group closed form over monotone tuples n = (n_0, ..., n_{M-1}):
-
-        n_0 * ... * n_{M-1} / sum_k W_k * X(n_{k-1}+1 .. n_k),   n_{-1} = 0,
-
-    with prefix products P_0 = 1, P_i = n_0 * ... * n_{i-1}, weights
-    W_k = P_k + ... + P_{M-1}, and X(a..b) the sum of 1/(1 - mu_n) over
-    databases a..b.  For M = 3 the weights are n0*n1+n0+1, n0*n1+n0 and
-    n0*n1.  For these M the value matches both the LP bound and the best
-    scheme exactly.
-    """
-    if M not in (2, 3):
-        raise ValueError(f"closed form covers M in {{2, 3}}, got {M}")
-    if mu.N != N:
-        raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    xs = [Fraction(0)]
-    for n in range(1, N + 1):
-        xs.append(xs[-1] + 1 / (1 - mu.mu[n - 1]))
-
-    def value(n: tuple[int, ...]) -> Fraction:
-        prefix = list(accumulate(n[:-1], mul, initial=1))
-        denom = sum(
-            sum(prefix[k:]) * (xs[b] - xs[a]) for k, (a, b) in enumerate(zip((0,) + n, n))
-        )
-        return prefix[-1] * n[-1] / denom
-
-    return max(map(value, combinations_with_replacement(range(1, N + 1), M)))
-
 
 def gap(M: int, N: int, mu: EavesdropProfile) -> Fraction:
     """Exact bound-minus-scheme gap; zero exactly when bounds match."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .fieldmath import MdsCode, check_evaluation_points, mat_rank, mat_solve, mds_generator
+from .fieldmath import check_evaluation_points, mat_rank, mat_solve, mds_generator
 from .planner import QueryPlan
 
 
@@ -83,22 +83,6 @@ class Transcript:
     eavesdropper: EavesdropperView
 
 
-def _noise_codes(plan: QueryPlan) -> list[MdsCode | None]:
-    """Per database, the artificial-noise code implied by the wire data
-    (dimension = actual pure-noise count, so edited plans are judged on
-    what they really carry).
-    """
-    codes: list[MdsCode | None] = []
-    for queries in plan.databases:
-        t_d = len(queries)
-        if t_d == 0:
-            codes.append(None)
-            continue
-        key_len = sum(1 for qr in queries if qr.is_pure_noise)
-        codes.append(mds_generator(t_d, key_len, plan.q))
-    return codes
-
-
 def _observation_size(plan: QueryPlan, d: int) -> Fraction:
     return plan.mu.mu[d - 1] * len(plan.databases[d - 1])
 
@@ -122,7 +106,6 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     if store.q != plan.q:
         raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
     q = plan.q
-    codes = _noise_codes(plan)
     answers = []
     positions = []
     views = []
@@ -135,7 +118,7 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
         size = _observation_size(plan, d)
         if size.denominator != 1:
             raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
-        code = codes[d - 1]
+        code = mds_generator(len(queries), sum(qr.is_pure_noise for qr in queries), q)
         rng = random.Random(f"{key_seed}/key/{d}")
         key = tuple(rng.randrange(q) for _ in range(code.k))
         noise = code.encode(key)
@@ -174,7 +157,6 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
         missing/unresolvable (an internal error for honest plans).
     """
     q = plan.q
-    codes = _noise_codes(plan)
     values: list[tuple[int, ...]] = []
     for d, queries in enumerate(plan.databases, start=1):
         if not queries:
@@ -184,8 +166,8 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
             raise ValueError(
                 f"db {d}: {len(answers[d - 1])} answers for {len(queries)} queries"
             )
-        code = codes[d - 1]
         noise_positions = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
+        code = mds_generator(len(queries), len(noise_positions), q)
         rows = [code.generator[queries[i].noise_slot - 1] for i in noise_positions]
         rhs = [answers[d - 1][i] for i in noise_positions]
         if code.k:

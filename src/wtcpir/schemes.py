@@ -38,13 +38,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def _binom0(n: int, k: int) -> int:
-    """binom(n, k), defined as 0 when k is negative or exceeds n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def _seed_factor(M: int, s: int) -> int:
     """The factor binom(M-2, s-1) with the s = 0 factor defined as 1.
 
@@ -53,7 +46,7 @@ def _seed_factor(M: int, s: int) -> int:
     """
     if s == 0:
         return 1
-    return _binom0(M - 2, s - 1)
+    return comb(M - 2, s - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +341,3 @@ def best_scheme(M: int, N: int, mu: EavesdropProfile) -> tuple[GroupSequence, Fr
     assert best_g is not None and best_r is not None
     return best_g, best_r
 
-
-def n2_closed_form(M: int, s2: int, mu: EavesdropProfile) -> Fraction:
-    """Closed-form two-database rate for the sequence with s2 leading 1s.
-
-    For N = 2 the optimal schemes use n = (1,...,1, 2,...,2) with s2 ones
-    followed by M - s2 twos; this evaluates that family's rate directly:
-
-        numerator:   B + sum_{k=0}^{M-s2-1} binom(M-1, s2+k)
-        denominator: (M*B + sum_{k>=1} binom(M, s2+2k)) / (1 - mu_1)
-                     + (sum_{k>=0} binom(M, s2+2k+1)) / (1 - mu_2)
-
-    where B = binom(M-2, s2-1) with the s2 = 0 value defined as 1.  For
-    s2 in 1..M-1 this equals ``achievable_rate`` of the corresponding
-    sequence exactly; s2 = 0 extends the formula by the same convention.
-    """
-    if mu.N != 2:
-        raise ValueError(f"closed form is for N=2, profile has {mu.N} databases")
-    if not 0 <= s2 <= M - 1:
-        raise ValueError(f"s2 must lie in 0..{M - 1}, got {s2}")
-    B = _seed_factor(M, s2)
-    numerator = B + sum(_binom0(M - 1, s2 + k) for k in range(M - s2))
-    coeff1 = M * B + sum(_binom0(M, s2 + 2 * k) for k in range(1, (M - s2) // 2 + 1))
-    coeff2 = sum(_binom0(M, s2 + 2 * k + 1) for k in range((M - s2 - 1) // 2 + 1))
-    denominator = coeff1 / (1 - mu.mu[0]) + coeff2 / (1 - mu.mu[1])
-    return numerator / denominator

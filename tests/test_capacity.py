@@ -1,16 +1,15 @@
-"""Capacity upper bounds: constraint generation, its certificate, closed forms."""
+"""Capacity upper bounds: constraint generation, its certificate, the gap."""
 
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from wtcpir import capacity
 from wtcpir.capacity import (
     EnumerationBudgetError,
-    closed_form_capacity,
     constraint_coefficients,
     gap,
     inner_bound_at,
@@ -50,11 +49,12 @@ def assert_certified(res, mu: EavesdropProfile, M: int) -> None:
 
 
 def test_constraint_coefficients_worked_values():
+    # c = a / D: (1, 1) has c = (1/4, 1/2), (2, 2) has c = (3/7, 2/7)
     cases = {
-        (1, 1): (Fraction(1, 4), Fraction(1, 2)),
-        (1, 2): (Fraction(3, 10), Fraction(2, 5)),
-        (2, 1): (Fraction(3, 8), Fraction(3, 8)),
-        (2, 2): (Fraction(3, 7), Fraction(2, 7)),
+        (1, 1): ((1, 2), 4),
+        (1, 2): ((3, 4), 10),
+        (2, 1): ((3, 3), 8),
+        (2, 2): ((3, 2), 7),
     }
     for seq, expected in cases.items():
         assert constraint_coefficients(seq, WORKED_MU) == expected, seq
@@ -67,9 +67,10 @@ def test_constraint_coefficients_match_prefix_oracle():
             mu = EavesdropProfile(profile[:N])
             for M in range(1, 6):
                 for seq in sequence_vectors(M, N):
-                    got = constraint_coefficients(seq, mu)
-                    assert got == prefix_coefficients(seq, mu.mu), (seq, mu.mu)
-                    assert all(type(v) is Fraction for v in got)
+                    a, D = constraint_coefficients(seq, mu)
+                    assert tuple(Fraction(v, D) for v in a) == prefix_coefficients(seq, mu.mu), (seq, mu.mu)
+                    # primitive, so equal vectors get equal forms in the pool
+                    assert D > 0 and gcd(D, *a) == 1, (seq, mu.mu)
 
 
 def test_inner_bound_at_worked_example():
@@ -248,24 +249,16 @@ def test_integer_simplex_matches_fraction_oracle(monkeypatch):
     assert solve(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
 
 
-def test_closed_form_capacity_matches_oracles():
+def test_closed_form_equals_lp():
+    # for M = 2 and 3 the closed forms, the LP and the best scheme all agree
     rng = random.Random(31)
     for N in (2, 3, 4):
         for _ in range(10):
             mu = rand_mu(rng, N)
-            assert closed_form_capacity(2, N, mu) == capacity_m2(N, mu.mu)
-            assert closed_form_capacity(3, N, mu) == capacity_m3(N, mu.mu)
-    with pytest.raises(ValueError):
-        closed_form_capacity(4, 2, WORKED_MU)
-
-
-def test_closed_form_equals_lp():
-    rng = random.Random(37)
-    for M in (2, 3):
-        for N in (2, 3):
-            for _ in range(5):
-                mu = rand_mu(rng, N)
-                assert closed_form_capacity(M, N, mu) == upper_bound(M, N, mu).value
+            for M, oracle in ((2, capacity_m2), (3, capacity_m3)):
+                want = oracle(N, mu.mu)
+                assert upper_bound(M, N, mu).value == want, (M, N, mu.mu)
+                assert best_scheme(M, N, mu)[1] == want, (M, N, mu.mu)
 
 
 def test_gap_zero_small_and_soundness():

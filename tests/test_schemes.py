@@ -11,7 +11,6 @@ from wtcpir.schemes import (
     best_scheme,
     derive_groups,
     enumerate_sequences,
-    n2_closed_form,
     plan_dimensions_per_rep,
     repetition_factor,
     stage_counts,
@@ -176,26 +175,14 @@ def test_m2n3_rate_family():
 
 
 def test_n2_closed_form_matches_leading_singles_sequences():
-    for M in (3, 4, 5):
+    for M in range(2, 7):
         for s2 in range(1, M):
             vec = (1,) * s2 + (2,) * (M - s2)
             g = derive_groups(M, 2, vec)
-            assert n2_closed_form(M, s2, WORKED_MU) == achievable_rate(g, WORKED_MU), (M, s2)
-
-
-def test_n2_closed_form_matches_independent_formula():
-    for M in range(2, 7):
-        for s2 in range(0, M):
-            assert n2_closed_form(M, s2, WORKED_MU) == n2_rate_formula(M, s2, WORKED_MU.mu)
-
-
-def test_n2_closed_form_validation():
-    with pytest.raises(ValueError):
-        n2_closed_form(3, 3, WORKED_MU)
-    with pytest.raises(ValueError):
-        n2_closed_form(3, -1, WORKED_MU)
-    with pytest.raises(ValueError):
-        n2_closed_form(3, 1, EavesdropProfile(["1/4", "1/3", "1/2"]))
+            assert n2_rate_formula(M, s2, WORKED_MU.mu) == achievable_rate(g, WORKED_MU), (M, s2)
+        # s2 = 0 extends the formula by the seed-factor convention (it is not
+        # the rate of (2, ..., 2)); the best scheme does at least as well
+        assert n2_rate_formula(M, 0, WORKED_MU.mu) <= best_scheme(M, 2, WORKED_MU)[1], M
 
 
 def test_rate_monotone_in_eavesdropping():
