@@ -249,16 +249,26 @@ def test_integer_simplex_matches_fraction_oracle(monkeypatch):
     assert solve(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
 
 
+def test_closed_form_capacity_matches_oracles():
+    # for M = 2 and 3 the LP's value is the closed-form capacity
+    rng = random.Random(31)
+    for N in (2, 3, 4):
+        for _ in range(10):
+            mu = rand_mu(rng, N)
+            for M, oracle in ((2, capacity_m2), (3, capacity_m3)):
+                assert upper_bound(M, N, mu).value == oracle(N, mu.mu), (M, N, mu.mu)
+
+
 def test_closed_form_equals_lp():
-    # for M = 2 and 3 the closed forms, the LP and the best scheme all agree
+    # for M = 2 and 3 the best scheme achieves the closed form, so it meets the LP
     rng = random.Random(31)
     for N in (2, 3, 4):
         for _ in range(10):
             mu = rand_mu(rng, N)
             for M, oracle in ((2, capacity_m2), (3, capacity_m3)):
                 want = oracle(N, mu.mu)
-                assert upper_bound(M, N, mu).value == want, (M, N, mu.mu)
                 assert best_scheme(M, N, mu)[1] == want, (M, N, mu.mu)
+                assert upper_bound(M, N, mu).value == want, (M, N, mu.mu)
 
 
 def test_gap_zero_small_and_soundness():

@@ -180,9 +180,17 @@ def test_n2_closed_form_matches_leading_singles_sequences():
             vec = (1,) * s2 + (2,) * (M - s2)
             g = derive_groups(M, 2, vec)
             assert n2_rate_formula(M, s2, WORKED_MU.mu) == achievable_rate(g, WORKED_MU), (M, s2)
-        # s2 = 0 extends the formula by the seed-factor convention (it is not
-        # the rate of (2, ..., 2)); the best scheme does at least as well
-        assert n2_rate_formula(M, 0, WORKED_MU.mu) <= best_scheme(M, 2, WORKED_MU)[1], M
+
+
+def test_n2_closed_form_matches_independent_formula():
+    # s2 = 0 extends the formula by the seed-factor convention (it is not the
+    # rate of (2, ..., 2)); the best scheme does at least as well, and at the
+    # worked profile the family's best member is the best scheme's rate
+    for M in range(2, 7):
+        rates = [n2_rate_formula(M, s2, WORKED_MU.mu) for s2 in range(M)]
+        best = best_scheme(M, 2, WORKED_MU)[1]
+        assert rates[0] <= best, M
+        assert max(rates) == best, M
 
 
 def test_rate_monotone_in_eavesdropping():
