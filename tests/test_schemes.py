@@ -1,5 +1,7 @@
 """Scheme dimensioning: group sequences, stage counts, rates."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,3 +200,42 @@ def test_rate_monotone_in_eavesdropping():
     weaker = achievable_rate(g, EavesdropProfile(["1/8", "1/4"]))
     stronger = achievable_rate(g, EavesdropProfile(["1/4", "1/2"]))
     assert weaker > stronger
+
+
+# the five eavesdropping profiles of the lp-ladder benchmark workload (N = 4)
+# and the eleven of the retrieve workload (M = 5, N = 3)
+LADDER_FAMILY = (("0", "1/9", "2/9", "1/3"), ("1/12", "1/3", "5/12", "2/3"), ("0", "1/2", "7/12", "3/4"),
+                 ("1/6", "1/4", "1/2", "1/2"), ("1/12", "1/6", "1/3", "1/2"))
+RETRIEVE_FAMILY = (("0", "0", "3/8"), ("1/4", "3/8", "3/4"), ("2/5", "2/5", "7/10"),
+                   ("1/12", "1/6", "3/4"), ("0", "3/8", "1/2"), ("0", "1/2", "1/2"),
+                   ("1/2", "1/2", "1/2"), ("0", "1/4", "1/2"), ("0", "5/12", "3/4"),
+                   ("1/2", "1/2", "2/3"), ("1/4", "1/4", "3/8"))
+
+
+def _scheme_digest() -> str:
+    shapes = [(M, 4, EavesdropProfile(mu)) for mu in LADDER_FAMILY for M in (5, 6, 7)]
+    shapes += [(5, 3, EavesdropProfile(mu)) for mu in RETRIEVE_FAMILY]
+    rng = random.Random(53)
+    for M in range(1, 7):
+        for N in range(1, 5):
+            for den in (12, 7):
+                shapes.append((M, N, EavesdropProfile(sorted(Fraction(rng.randrange(den), den) for _ in range(N)))))
+    h = hashlib.sha256()
+    for M, N, mu in shapes:
+        for g in enumerate_sequences(M, N):
+            dims = repetition_factor(g, mu)
+            h.update(repr((
+                g.n, tuple(map(str, mu.mu)), str(achievable_rate(g, mu)),
+                dims.D, dims.L_per_rep, dims.nu, dims.t, dims.key_len,
+                tuple(map(str, traffic_vector(g))),
+            )).encode() + b"\n")
+        best, rate = best_scheme(M, N, mu)
+        h.update(repr((M, N, best.n, str(rate))).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+def test_scheme_results_match_golden_digest():
+    # every scheme rate, dimension and traffic share, and every best scheme,
+    # pinned bit for bit: a change to how rates or dimensions are computed
+    # must not move any of them
+    assert _scheme_digest() == "ed3dba7dcbbd45bf"
