@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -89,8 +89,8 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> Form
     terms gives c_d = (1 - mu_d) * (sum of 1/P_i over i with l_i < d)
     divided by the full 1/P_i sum.  Both sums are taken over the common
     denominator P_{M-1}, as integer sums of the weights P_{M-1}/P_i, and
-    the 1 - mu_d over the lcm of the mu denominators; one gcd then makes
-    the form primitive.
+    1 - mu_d is the profile's integer margin over its ``margin_den``; one
+    gcd then makes the form primitive.
     """
     weight = 1
     by_threshold = [0] * (mu.N + 1)
@@ -98,13 +98,8 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> Form
         by_threshold[v] += weight
         weight *= v
     by_threshold[0] += weight
-    den = lcm(*(m.denominator for m in mu.mu))
-    a = []
-    share = 0
-    for m, below in zip(mu.mu, by_threshold):
-        share += below
-        a.append((m.denominator - m.numerator) * (den // m.denominator) * share)
-    D = den * sum(by_threshold)
+    a = list(map(mul, mu.margin, accumulate(by_threshold)))
+    D = mu.margin_den * sum(by_threshold)
     g = gcd(D, *a)
     return tuple(v // g for v in a), D // g
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Sequence, Union
 
 # All rates, traffic shares, and eavesdropping ratios in this package are
@@ -59,9 +60,18 @@ class EavesdropProfile:
 
     The sort order is a modelling convention: database 1 is always the
     least-observed one.  Ratios must be exact rationals.
+
+    Derived on construction: the secrecy margins 1 - mu_d in primitive
+    integer form, 1 - mu_d = ``margin[d-1] / margin_den``.  ``margin_den``
+    is the lcm of the mu denominators and every margin is positive.  The
+    form is primitive, gcd(margin_den, *margin) = 1: at the coordinate
+    whose denominator holds the highest power of a prime p, neither factor
+    of the margin is divisible by p.
     """
 
     mu: tuple[Fraction, ...]
+    margin: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    margin_den: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, mu: Sequence[RationalLike]) -> None:
         values = tuple(as_fraction(m) for m in mu)
@@ -74,15 +84,16 @@ class EavesdropProfile:
             raise ValueError(
                 f"ratios must be sorted ascending, got {tuple(str(m) for m in values)}"
             )
+        den = lcm(*(m.denominator for m in values))
         object.__setattr__(self, "mu", values)
+        object.__setattr__(self, "margin", tuple(
+            (m.denominator - m.numerator) * (den // m.denominator) for m in values
+        ))
+        object.__setattr__(self, "margin_den", den)
 
     @property
     def N(self) -> int:
         return len(self.mu)
-
-    def x(self, db: int) -> Fraction:
-        """Inverse secrecy margin 1/(1 - mu_db) for 1-based database db."""
-        return 1 / (1 - self.mu[db - 1])
 
 
 @dataclass(frozen=True)
@@ -246,6 +257,7 @@ class PlanDimensions:
         return self.nu * self.L_per_rep
 
 
+@cache
 def plan_dimensions_per_rep(g: GroupSequence) -> tuple[tuple[int, ...], int]:
     """Per-repetition download counts D_n and desired-symbol count L.
 
@@ -253,6 +265,9 @@ def plan_dimensions_per_rep(g: GroupSequence) -> tuple[tuple[int, ...], int]:
     in round k downloads all binom(M, k) k-sums once);
     L = sum over groups and rounds of binom(M-1, k-1) * y_l[k] * width(l)
     (the k-sums containing the desired message, over the whole group).
+
+    Both depend on the sequence alone, not on mu, so each sequence is
+    computed once and memoised: at most binom(M+N-1, M) entries per shape.
     """
     sc = stage_counts(g)
     M = g.M
@@ -275,21 +290,19 @@ def repetition_factor(g: GroupSequence, mu: EavesdropProfile) -> PlanDimensions:
     """Smallest repetition count making all answer lengths integral.
 
     Database n answers t_n = nu * D_n / (1 - mu_n) symbols; nu is the least
-    positive integer making every t_n an integer.  The key length
+    positive integer making every t_n an integer.  With the profile's
+    margins, 1 - mu_n = margin_n / margin_den, so t_n = nu * D_n *
+    margin_den / margin_n, and nu is the lcm over active n of
+    margin_n / gcd(margin_n, D_n * margin_den).  The key length
     mu_n * t_n = t_n - nu * D_n is then automatically integral.  Databases
     with D_n = 0 are deactivated: t_n = 0, no key.
     """
     if mu.N != g.N:
         raise ValueError(f"profile covers {mu.N} databases, sequence expects {g.N}")
     D, L_per_rep = plan_dimensions_per_rep(g)
-    ratios: list[Fraction | None] = []
-    for db in range(1, g.N + 1):
-        if D[db - 1] == 0:
-            ratios.append(None)
-            continue
-        ratios.append(D[db - 1] / (1 - mu.mu[db - 1]))
-    nu = lcm(*(r.denominator for r in ratios if r is not None))
-    t = tuple(int(nu * r) if r is not None else 0 for r in ratios)
+    scaled = [d * mu.margin_den for d in D]
+    nu = lcm(*(m // gcd(m, s) for m, s in zip(mu.margin, scaled) if s))
+    t = tuple(nu * s // m for m, s in zip(mu.margin, scaled))
     key_len = tuple(tv - nu * dv for tv, dv in zip(t, D))
     return PlanDimensions(D=D, L_per_rep=L_per_rep, nu=nu, t=t, key_len=key_len)
 
@@ -304,16 +317,16 @@ def traffic_vector(g: GroupSequence) -> tuple[Fraction, ...]:
 def achievable_rate(g: GroupSequence, mu: EavesdropProfile) -> Fraction:
     """Exact rate of the scheme: desired symbols over total download.
 
-    R = L_per_rep / sum over active databases n of D_n / (1 - mu_n).
+    R = L_per_rep / sum over active databases n of D_n / (1 - mu_n).  With
+    the profile's margins and c the lcm of the active margins, that is
+    L_per_rep * c / (margin_den * sum_n D_n * (c / margin_n)), one
+    integer fraction.
     """
     if mu.N != g.N:
         raise ValueError(f"profile covers {mu.N} databases, sequence expects {g.N}")
     D, L_per_rep = plan_dimensions_per_rep(g)
-    denom = Fraction(0)
-    for db in range(1, g.N + 1):
-        if D[db - 1]:
-            denom += D[db - 1] / (1 - mu.mu[db - 1])
-    return L_per_rep / denom
+    c = lcm(*(m for m, d in zip(mu.margin, D) if d))
+    return Fraction(L_per_rep * c, mu.margin_den * sum(d * (c // m) for m, d in zip(mu.margin, D)))
 
 
 def enumerate_sequences(M: int, N: int) -> Iterator[GroupSequence]:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -34,7 +35,25 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         EavesdropProfile([])
     p = EavesdropProfile(["1/4", "1/2"])
-    assert p.N == 2 and p.x(2) == 2
+    assert p.N == 2 and 1 / (1 - p.mu[1]) == 2
+
+
+def test_profile_margins_are_the_primitive_form_of_one_minus_mu():
+    rng = random.Random(59)
+    for _ in range(300):
+        N = rng.randint(1, 5)
+        mu = EavesdropProfile(sorted(Fraction(rng.randrange(0, 40), rng.randrange(41, 80)) for _ in range(N)))
+        assert all(Fraction(m, mu.margin_den) == 1 - v for m, v in zip(mu.margin, mu.mu)), mu.mu
+        assert all(m > 0 for m in mu.margin), mu.mu
+        assert gcd(mu.margin_den, *mu.margin) == 1, mu.mu
+    # the margins are derived: equal ratios give equal profiles, whatever
+    # their spelling, and the margins stay out of equality, hash and repr
+    same = [EavesdropProfile(["1/4", half]) for half in ("1/2", Fraction(1, 2), "0.5")]
+    assert len({(p.margin, p.margin_den) for p in same}) == 1
+    assert same[0].margin == (3, 2) and same[0].margin_den == 4
+    assert len(set(same)) == 1 and len({hash(p) for p in same}) == 1
+    assert len({repr(p) for p in same}) == 1
+    assert repr(same[0]) == "EavesdropProfile(mu=(Fraction(1, 4), Fraction(1, 2)))"
 
 
 def test_as_fraction_rejects_floats():
@@ -129,7 +148,7 @@ def test_achievable_rate_goldens():
     g = derive_groups(3, 2, (1, 2, 2))
     assert achievable_rate(g, WORKED_MU) == Fraction(6, 17)
     g4 = derive_groups(4, 2, (1, 2, 2, 2))
-    x, y = WORKED_MU.x(1), WORKED_MU.x(2)
+    x, y = (1 / (1 - m) for m in WORKED_MU.mu)
     assert achievable_rate(g4, WORKED_MU) == Fraction(8) / (8 * x + 7 * y)
 
 
@@ -237,5 +256,9 @@ def _scheme_digest() -> str:
 def test_scheme_results_match_golden_digest():
     # every scheme rate, dimension and traffic share, and every best scheme,
     # pinned bit for bit: a change to how rates or dimensions are computed
-    # must not move any of them
+    # must not move any of them, and neither may the memo of the dimensions
+    plan_dimensions_per_rep.cache_clear()
     assert _scheme_digest() == "ed3dba7dcbbd45bf"
+    misses = plan_dimensions_per_rep.cache_info().misses
+    assert _scheme_digest() == "ed3dba7dcbbd45bf"
+    assert plan_dimensions_per_rep.cache_info().misses == misses
