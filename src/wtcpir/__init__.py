@@ -31,6 +31,7 @@ from .planner import (
     plan_to_json,
     plan_to_table,
     plan_violations,
+    signature,
 )
 from .protocol import (
     EavesdropperView,
@@ -100,6 +101,7 @@ __all__ = [
     "random_store",
     "repetition_factor",
     "run_retrieval",
+    "signature",
     "smallest_prime_at_least",
     "stage_counts",
     "traffic_vector",

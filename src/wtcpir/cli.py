@@ -231,7 +231,7 @@ def _load_plan(path: str):
         return plan_from_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise UsageError(f"plan file not found: {path}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load plan: {exc}") from exc
 
 
@@ -268,6 +268,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     plan = _load_plan(args.plan)
     violations = plan_violations(plan)
     audits = {

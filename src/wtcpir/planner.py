@@ -76,6 +76,13 @@ class Query:
         return frozenset(m for m, _ in self.terms)
 
 
+def signature(queries: Sequence[Query]) -> Counter:
+    """What one database sees of a plan: the multiset of its queries'
+    message sets, pure noise as ``frozenset()``.  Privacy holds when it
+    does not depend on the desired message."""
+    return Counter(qr.message_set() for qr in queries)
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """A complete, executable download schedule.
@@ -308,7 +315,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
       and noise slots form a bijection onto wire positions;
     - per message and database, no symbol slot is downloaded twice;
     - every round's queries form complete stages (each k-subset of
-      messages appears exactly nu * y_l[k] times);
+      messages appears exactly nu * y_l[k] times in the database's
+      ``signature``);
     - desired slots cover 1..L exactly once across the whole plan;
     - every desired-bearing sum's side information is either an undesired
       query downloaded verbatim at another database or a combination of
@@ -320,20 +328,16 @@ def plan_violations(plan: QueryPlan) -> list[str]:
     problems: list[str] = []
     sc = stage_counts(g)
 
-    blocks_elsewhere: dict[int, set[frozenset]] = {}
-    singles_elsewhere: dict[int, set[tuple[int, int]]] = {}
-    for d, queries in enumerate(plan.databases, start=1):
-        blocks_elsewhere[d] = set()
-        singles_elsewhere[d] = set()
+    # every undesired sum on the wire (a round-1 single is the one-term sum)
+    # and the databases that download it
+    held: dict[frozenset, set[int]] = {}
     for d, queries in enumerate(plan.databases, start=1):
         for qr in queries:
-            if qr.is_pure_noise or plan.desired in qr.message_set():
-                continue
-            for other in blocks_elsewhere:
-                if other != d:
-                    blocks_elsewhere[other].add(frozenset(qr.terms))
-                    if qr.round == 1:
-                        singles_elsewhere[other].add(qr.terms[0])
+            if not qr.is_pure_noise and plan.desired not in qr.message_set():
+                held.setdefault(frozenset(qr.terms), set()).add(d)
+
+    def elsewhere(terms, d: int) -> bool:
+        return any(other != d for other in held.get(frozenset(terms), ()))
 
     desired_slots: list[int] = []
     for d, queries in enumerate(plan.databases, start=1):
@@ -344,7 +348,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
         noise_slots = sorted(qr.noise_slot for qr in queries)
         if noise_slots != list(range(1, t_d + 1)):
             problems.append(f"db {d}: noise slots are not a bijection onto 1..{t_d}")
-        pure = sum(1 for qr in queries if qr.is_pure_noise)
+        sig = signature(queries)
+        pure = sig[frozenset()]
         if pure != dims.key_len[d - 1]:
             problems.append(
                 f"db {d}: {pure} pure-noise downloads, key length is {dims.key_len[d - 1]}"
@@ -357,17 +362,11 @@ def plan_violations(plan: QueryPlan) -> list[str]:
         if dup:
             problems.append(f"db {d}: symbol slots downloaded twice: {sorted(dup)[:3]}")
 
-        by_round: dict[int, Counter] = {}
-        for qr in queries:
-            if qr.is_pure_noise:
-                continue
-            by_round.setdefault(qr.round, Counter())[qr.message_set()] += 1
         group = g.group_of(d)
         for k in range(1, plan.M + 1):
             expect = dims.nu * (sc.of(group, k) if group is not None else 0)
-            counts = by_round.get(k, Counter())
             for tup in combinations(range(1, plan.M + 1), k):
-                got = counts.get(frozenset(tup), 0)
+                got = sig[frozenset(tup)]
                 if got != expect:
                     problems.append(
                         f"db {d} round {k}: subset {tup} appears {got} times, "
@@ -376,17 +375,11 @@ def plan_violations(plan: QueryPlan) -> list[str]:
                     break
 
         for qr in queries:
-            ms = qr.message_set()
-            if plan.desired not in ms:
+            if plan.desired not in qr.message_set():
                 continue
-            dslot = next(s for m, s in qr.terms if m == plan.desired)
-            desired_slots.append(dslot)
+            desired_slots.append(next(s for m, s in qr.terms if m == plan.desired))
             side = tuple(p for p in qr.terms if p[0] != plan.desired)
-            if not side:
-                continue
-            if frozenset(side) in blocks_elsewhere[d]:
-                continue
-            if all(p in singles_elsewhere[d] for p in side):
+            if not side or elsewhere(side, d) or all(elsewhere([p], d) for p in side):
                 continue
             problems.append(
                 f"db {d}: side information {side} for a round-{qr.round} desired "
@@ -415,24 +408,20 @@ def plan_stats(plan: QueryPlan) -> dict:
     stages, otherwise an exact ``Fraction``).
     """
     t = tuple(len(qs) for qs in plan.databases)
-    desired_slots = set()
+    sigs = [signature(qs) for qs in plan.databases]
+    L = len({s for qs in plan.databases for qr in qs for m, s in qr.terms if m == plan.desired})
     per_round: dict[int, dict[int, int]] = {}
-    for d, queries in enumerate(plan.databases, start=1):
-        rounds: dict[int, int] = {}
-        for qr in queries:
-            if qr.is_pure_noise:
-                continue
-            rounds[qr.round] = rounds.get(qr.round, 0) + 1
-            for m, s in qr.terms:
-                if m == plan.desired:
-                    desired_slots.add(s)
+    for d, sig in enumerate(sigs, start=1):
+        rounds: Counter = Counter()
+        for ms, cnt in sig.items():
+            if ms:
+                rounds[len(ms)] += cnt
         stages = {}
         for k, cnt in sorted(rounds.items()):
             per_stage = comb(plan.M, k)
             stages[k] = cnt // per_stage if cnt % per_stage == 0 else Fraction(cnt, per_stage)
         if stages:
             per_round[d] = stages
-    L = len(desired_slots)
     total = sum(t)
     return {
         "M": plan.M,
@@ -442,7 +431,7 @@ def plan_stats(plan: QueryPlan) -> dict:
         "nu": plan.dims.nu,
         "desired": plan.desired,
         "t": list(t),
-        "key_len": [sum(qr.is_pure_noise for qr in qs) for qs in plan.databases],
+        "key_len": [sig[frozenset()] for sig in sigs],
         "total_download": total,
         "L": L,
         "rate": Fraction(L, total),
@@ -560,11 +549,15 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     Raises
     ------
     ValueError
-        If the document's version is not 1, or the plan breaks one of the
-        ``QueryPlan`` range rules (database count, desired message, noise
-        slot, term message, term symbol slot).
+        If the document is not a JSON object, its version is not 1, or the
+        plan breaks one of the ``QueryPlan`` range rules (database count,
+        desired message, noise slot, term message, term symbol slot).
+    KeyError, TypeError
+        If a field is missing or holds the wrong JSON type.
     """
     doc = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ValueError(f"plan document must be a JSON object, not {type(doc).__name__}")
     version = doc.get("version")
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")

@@ -21,14 +21,13 @@ Audits check the three scheme guarantees directly on wire data:
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
 from .fieldmath import check_evaluation_points, mat_rank, mat_solve, mds_generator
-from .planner import QueryPlan
+from .planner import QueryPlan, signature
 
 
 @dataclass(frozen=True)
@@ -146,16 +145,20 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
     Per database: interpolate the key from the pure-noise positions,
     re-expand the noise codeword, and strip it.  Then resolve every
     desired-bearing sum by subtracting its side information — the value
-    of the identical undesired sum downloaded at another database, or of
-    the matching round-1 singles.  Returns the message in physical symbol
+    of the identical undesired sum, or of the matching round-1 singles,
+    downloaded at any database (its own included; ``plan_violations``
+    demands another one).  Returns the message in physical symbol
     order.
 
     Raises
     ------
     ValueError
-        If noise interpolation is singular, or side information is
-        missing/unresolvable (an internal error for honest plans).
+        If ``answers`` does not hold one row per database and one answer
+        per query, noise interpolation is singular, or side information
+        is missing/unresolvable (an internal error for honest plans).
     """
+    if len(answers) != plan.N:
+        raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
     q = plan.q
     values: list[tuple[int, ...]] = []
     for d, queries in enumerate(plan.databases, start=1):
@@ -187,36 +190,33 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
             )
         )
 
-    blocks: dict[frozenset, int] = {}
-    singles: dict[tuple[int, int], int] = {}
+    # every undesired sum on the wire, at any database, by its terms (a
+    # round-1 single is the one-term sum); the last download wins
+    sums: dict[frozenset, int] = {}
     for d, queries in enumerate(plan.databases, start=1):
         for i, qr in enumerate(queries):
-            if qr.is_pure_noise or plan.desired in qr.message_set():
-                continue
-            blocks[frozenset(qr.terms)] = values[d - 1][i]
-            if qr.round == 1:
-                singles[qr.terms[0]] = values[d - 1][i]
+            if not qr.is_pure_noise and plan.desired not in qr.message_set():
+                sums[frozenset(qr.terms)] = values[d - 1][i]
 
     logical: dict[int, int] = {}
     for d, queries in enumerate(plan.databases, start=1):
         for i, qr in enumerate(queries):
-            ms = qr.message_set()
-            if qr.is_pure_noise or plan.desired not in ms:
+            if plan.desired not in qr.message_set():
                 continue
             slot = next(s for m, s in qr.terms if m == plan.desired)
             side = tuple(p for p in qr.terms if p[0] != plan.desired)
             x = values[d - 1][i]
-            if side:
-                if frozenset(side) in blocks:
-                    x = (x - blocks[frozenset(side)]) % q
-                else:
-                    for pair in side:
-                        if pair not in singles:
-                            raise ValueError(
-                                f"db {d}: side information {pair} for slot {slot} "
-                                "was never downloaded"
-                            )
-                        x = (x - singles[pair]) % q
+            if frozenset(side) in sums:
+                x = (x - sums[frozenset(side)]) % q
+            else:
+                # resolve the side terms one round-1 single at a time
+                for pair in side:
+                    if frozenset([pair]) not in sums:
+                        raise ValueError(
+                            f"db {d}: side information {pair} for slot {slot} "
+                            "was never downloaded"
+                        )
+                    x = (x - sums[frozenset([pair])]) % q
             logical[slot] = x
 
     L = plan.dims.L
@@ -248,9 +248,7 @@ def audit_privacy(plans: Sequence[QueryPlan]) -> dict:
     entries = []
     status = "PASS"
     for d in range(1, plans[0].N + 1):
-        counters = [
-            Counter(qr.message_set() for qr in plan.databases[d - 1]) for plan in plans
-        ]
+        counters = [signature(plan.databases[d - 1]) for plan in plans]
         diff = None
         for plan, ctr in zip(plans[1:], counters[1:]):
             if ctr != counters[0]:
@@ -379,8 +377,11 @@ def audit_decodability(plan: QueryPlan, trials: int = 100, seed: int = 0) -> dic
     Each trial draws a fresh uniform store and key seed, executes the
     plan, and compares the decoded message to the stored one.  Failures
     carry the trial index and the first mismatching symbol positions (or
-    the decode error).
+    the decode error).  Raises ``ValueError`` if ``trials`` is below 1,
+    since zero trials prove nothing.
     """
+    if trials < 1:
+        raise ValueError(f"decodability needs at least 1 trial, got {trials}")
     failures = []
     expected_index = plan.desired - 1
     for trial in range(trials):

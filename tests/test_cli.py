@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from wtcpir import EavesdropProfile, build_plan, plan_to_json
+from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json
 from wtcpir.cli import main
 
 from faults import broken_symmetry, rewired_side_information, shorter_key
@@ -193,14 +193,31 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: _set_first_term(doc, 1, 999), "db 1 query 1: slot 999 outside 1..12"),
         (lambda doc: doc["meta"].update(desired=0), "desired message 0 out of range 1..3"),
         (lambda doc: doc["meta"].update(desired=4), "desired message 4 out of range 1..3"),
+        # malformed documents; an edit that returns a value replaces the document
+        (lambda doc: [], "plan document must be a JSON object, not list"),
+        (lambda doc: "x", "plan document must be a JSON object, not str"),
+        (lambda doc: doc.update(databases=None), "'NoneType' object is not iterable"),
+        (lambda doc: doc.update(meta=[]), "list indices must be integers"),
     ]
     for edit, message in cases:
         doc = json.loads(honest)
-        edit(doc)
-        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        edited = edit(doc)
+        plan_path.write_text(json.dumps(doc if edited is None else edited), encoding="utf-8")
         code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
         assert code == 2 and out == "", message
-        assert "cannot load plan" in err and message in err
+        assert err.startswith("error: cannot load plan: ") and message in err, err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_audit_refuses_fewer_than_one_trial(tmp_path, capsys, trials):
+    # refused before the plan is even read, so a missing file does not matter
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "audit", "--plan", missing, "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+    plan = build_plan(3, 2, (1, 2, 2), EavesdropProfile(["1/4", "1/2"]), desired=1, seed=7)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        audit_decodability(plan, trials=int(trials))
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json
+from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json, plan_violations
 from wtcpir.protocol import (
     MessageStore,
     audit_decodability,
@@ -92,6 +92,9 @@ def test_decode_detects_corrupted_answers():
     bad = [list(row) for row in tr.answers]
     bad[0][0] = (bad[0][0] + 1) % plan.q
     assert decode(plan, tuple(map(tuple, bad))) != tr.decoded
+    for rows in (tr.answers[:1], tr.answers + ((),)):
+        with pytest.raises(ValueError, match=f"^{len(rows)} answer rows for 2 databases$"):
+            decode(plan, rows)
 
 
 def test_run_retrieval_validates_store():
@@ -267,6 +270,31 @@ def test_fault_rewired_side_information_fails_decodability():
     assert report["passed"] < 20
     first = report["failures"][0]
     assert "error" in first or "mismatch_positions" in first
+
+
+def test_side_information_reach_of_decode_and_plan_violations():
+    # swap the undesired singles b_1 (db 1) and b_2 (db 2): each database
+    # then holds the single that its own desired sum (a_3+b_2 at db 1,
+    # a_5+b_1 at db 2) needs, and no other database holds it
+    plan = build_plan(3, 2, (2, 2, 2), EavesdropProfile(["0", "0"]), desired=1, seed=3)
+    db1, db2 = (list(qs) for qs in plan.databases)
+    i = next(i for i, qr in enumerate(db1) if qr.terms == ((2, 1),))
+    j = next(j for j, qr in enumerate(db2) if qr.terms == ((2, 2),))
+    db1[i], db2[j] = (
+        Query(terms=db2[j].terms, noise_slot=db1[i].noise_slot),
+        Query(terms=db1[i].terms, noise_slot=db2[j].noise_slot),
+    )
+    swapped = dataclasses.replace(plan, databases=(tuple(db1), tuple(db2)))
+    # decode takes a side sum from any database, its own included
+    store = random_store(3, plan.dims.L, plan.q, seed=5)
+    assert run_retrieval(swapped, store, key_seed=1).decoded == store.messages[0]
+    # plan_violations demands that another database downloads it
+    problems = plan_violations(swapped)
+    for d, side in ((1, "((2, 2),)"), (2, "((2, 1),)")):
+        assert (
+            f"db {d}: side information {side} for a round-2 desired sum "
+            "is not downloadable elsewhere"
+        ) in problems
 
 
 def test_honest_faultless_variants_differ_from_faulty():
