@@ -326,3 +326,43 @@ def test_retrieval_scale_transcripts_match_golden():
         assert tr.decoded == store.messages[desired - 1]
         blob = json.dumps([tr.answers, tr.decoded, tr.eavesdropper.values])
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == want, desired
+
+
+def _with_query(plan, d, i, **changes):
+    dbs = [list(queries) for queries in plan.databases]
+    dbs[d - 1][i] = dataclasses.replace(dbs[d - 1][i], **changes)
+    return dataclasses.replace(plan, databases=tuple(map(tuple, dbs)))
+
+
+def _decodability_variants():
+    """Honest plans, every ``tests/faults`` variant, and one plan per
+    decode failure: a non-integral observation size, a singular noise
+    interpolation and a desired slot recovered twice."""
+    plans = []
+    for M, N, mu in ((3, 2, ("1/4", "1/2")), (4, 3, ("0", "1/4", "1/2")), (5, 3, ("0", "1/4", "1/2"))):
+        profile = EavesdropProfile(list(mu))
+        g, _ = best_scheme(M, N, profile)
+        plans.append(build_plan(M, N, g, profile, desired=M, seed=11))
+    plan = worked_plan()
+    plans += [
+        faults.shorter_key(plan, database=1),
+        faults.shorter_key(plan, database=2),
+        faults.broken_symmetry(3, 2, (1, 2, 2), WORKED_MU, seed=7)[0],
+        faults.rewired_side_information(plan),
+        faults.rewired_side_information(plans[1]),
+        dataclasses.replace(plan, databases=(plan.databases[0][:-1],) + plan.databases[1:]),
+    ]
+    noise = [i for i, qr in enumerate(plan.databases[1]) if qr.is_pure_noise]
+    plans.append(_with_query(plan, 2, noise[1], noise_slot=plan.databases[1][noise[0]].noise_slot))
+    d, i, qr = next((d, i, qr) for d, queries in enumerate(plan.databases, start=1)
+                    for i, qr in enumerate(queries) if qr.round == 2 and 1 in qr.message_set())
+    plans.append(_with_query(plan, d, i, terms=((1, 1),) + qr.terms[1:]))
+    return plans
+
+
+def test_decodability_reports_match_golden_digest():
+    reports = [audit_decodability(plan, trials=25, seed=s)
+               for s, plan in enumerate(_decodability_variants())]
+    assert [r["status"] for r in reports] == ["PASS"] * 5 + ["FAIL"] * 6
+    blob = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "9fc0285a5860c812"
