@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .fieldmath import is_prime, smallest_prime_at_least
+from .fieldmath import check_evaluation_points, is_prime, smallest_prime_at_least
 from .schemes import (
     EavesdropProfile,
     GroupSequence,
@@ -95,10 +95,11 @@ class QueryPlan:
     physical symbol index ``permutations[m-1][s-1]`` of message m.
 
     Every plan, built or loaded, is checked on construction: it lists N
-    databases, ``desired`` lies in 1..M, every noise slot of database d
-    lies in 1..t_d, and every term names a message in 1..M and a symbol
-    slot in 1..L.  A violation raises ``ValueError`` naming the database
-    and query.
+    databases, ``desired`` lies in 1..M, GF(q) is a prime field with
+    t_d <= q for every database d (distinct noise evaluation points),
+    every noise slot of database d lies in 1..t_d, and every term names a
+    message in 1..M and a symbol slot in 1..L.  A violation raises
+    ``ValueError``, naming the database and query where there is one.
     """
 
     q: int
@@ -125,6 +126,7 @@ class QueryPlan:
             raise ValueError(f"desired message {self.desired} out of range 1..{self.M}")
         L = dims.L
         for d, queries in enumerate(self.databases, start=1):
+            check_evaluation_points(len(queries), self.q)
             for i, qr in enumerate(queries, start=1):
                 if qr.noise_slot > len(queries):
                     raise ValueError(
@@ -550,10 +552,12 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     ------
     ValueError
         If the document is not a JSON object, its version is not 1, or the
-        plan breaks one of the ``QueryPlan`` range rules (database count,
-        desired message, noise slot, term message, term symbol slot).
+        plan breaks one of the ``QueryPlan`` rules (database count,
+        desired message, field size, noise slot, term message, term
+        symbol slot).
     KeyError, TypeError
-        If a field is missing or holds the wrong JSON type.
+        If a field is missing or holds the wrong JSON type; every count,
+        index and seed must be a JSON integer (not a float or a boolean).
     """
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -563,21 +567,30 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         raise ValueError(f"unsupported plan document version: {version!r}")
     meta = doc["meta"]
     return QueryPlan(
-        q=int(meta["q"]),
+        q=_integer(meta["q"], "q"),
         mu=EavesdropProfile(meta["mu"]),
         group_sequence=derive_groups(
-            int(meta["M"]), int(meta["N"]), tuple(int(v) for v in meta["n"])
+            _integer(meta["M"], "M"), _integer(meta["N"], "N"),
+            tuple(_integer(v, "n") for v in meta["n"]),
         ),
-        desired=int(meta["desired"]),
-        seed=int(meta["seed"]),
+        desired=_integer(meta["desired"], "desired"),
+        seed=_integer(meta["seed"], "seed"),
         databases=tuple(
             tuple(
                 Query(
-                    terms=tuple((int(m), int(s)) for m, s in entry["terms"]),
-                    noise_slot=int(entry["noise_slot"]),
+                    terms=tuple((_integer(m, "terms"), _integer(s, "terms"))
+                                for m, s in entry["terms"]),
+                    noise_slot=_integer(entry["noise_slot"], "noise_slot"),
                 )
                 for entry in db["queries"]
             )
             for db in doc["databases"]
         ),
     )
+
+
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, so JSON true would otherwise load as 1
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .fieldmath import check_evaluation_points, mat_rank, mat_solve, mds_generator
+from .fieldmath import mat_rank, mat_solve, mds_generator
 from .planner import QueryPlan, signature
 
 
@@ -86,6 +86,123 @@ def _observation_size(plan: QueryPlan, d: int) -> Fraction:
     return plan.mu.mu[d - 1] * len(plan.databases[d - 1])
 
 
+class _Wire:
+    """A plan's wire, compiled once for any number of retrievals.
+
+    ``dbs[d-1]`` holds database d's noise code, the wire indices of its
+    pure-noise downloads, the generator rows at their noise slots, each
+    query's noise-slot index, each query's terms as flat store indices
+    (permutation applied), and its observation size mu_d * t_d.
+    ``program`` lists, per desired-bearing query in wire order, its
+    physical output index, its flat wire position and the positions whose
+    values it subtracts.  ``error`` is the first decode failure the plan
+    forces (missing side information, else a wrong count of recovered
+    desired slots), or None.
+    """
+
+    def __init__(self, plan: QueryPlan) -> None:
+        self.plan = plan
+        L, desired, perms = plan.dims.L, plan.desired, plan.permutations
+        self.dbs = []
+        # every undesired sum on the wire, at any database, by its terms (a
+        # round-1 single is the one-term sum); the last download wins
+        index: dict[frozenset, int] = {}
+        bearing = []  # (database, flat wire position, query) per desired-bearing query
+        pos = 0
+        for d, queries in enumerate(plan.databases, start=1):
+            noise_at = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
+            code = mds_generator(len(queries), len(noise_at), plan.q)
+            self.dbs.append((
+                code, noise_at, [code.generator[queries[i].noise_slot - 1] for i in noise_at],
+                [qr.noise_slot - 1 for qr in queries],
+                [[(m - 1) * L + perms[m - 1][s - 1] - 1 for m, s in qr.terms] for qr in queries],
+                _observation_size(plan, d),
+            ))
+            for qr in queries:
+                if desired in qr.message_set():
+                    bearing.append((d, pos, qr))
+                elif qr.terms:
+                    index[frozenset(qr.terms)] = pos
+                pos += 1
+
+        self.program: list[tuple[int, int, tuple[int, ...]]] = []
+        self.error = None
+        slots = set()
+        for d, pos, qr in bearing:
+            slot = next(s for m, s in qr.terms if m == desired)
+            side = tuple(p for p in qr.terms if p[0] != desired)
+            if frozenset(side) in index:
+                subtract = (index[frozenset(side)],)
+            else:
+                # resolve the side terms one round-1 single at a time
+                missing = next((p for p in side if frozenset([p]) not in index), None)
+                if missing is not None:
+                    self.error = (f"db {d}: side information {missing} for slot {slot} "
+                                  "was never downloaded")
+                    return
+                subtract = tuple(index[frozenset([p])] for p in side)
+            self.program.append((perms[desired - 1][slot - 1] - 1, pos, subtract))
+            slots.add(slot)
+        if sorted(slots) != list(range(1, L + 1)):
+            self.error = f"decode recovered {len(slots)} desired slots, expected 1..{L}"
+
+    def retrieve(self, store: MessageStore, key_seed) -> Transcript:
+        plan = self.plan
+        if store.M != plan.M:
+            raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
+        if store.L != plan.dims.L:
+            raise ValueError(f"store messages have {store.L} symbols, plan needs {plan.dims.L}")
+        if store.q != plan.q:
+            raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
+        q = plan.q
+        flat = [v for w in store.messages for v in w]
+        answers, positions, views = [], [], []
+        for d, (code, _, _, slots, terms, size) in enumerate(self.dbs, start=1):
+            if size.denominator != 1:
+                raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
+            rng = random.Random(f"{key_seed}/key/{d}")
+            noise = code.encode(tuple(rng.randrange(q) for _ in range(code.k)))
+            row = tuple([(noise[slot] + sum(map(flat.__getitem__, idx))) % q
+                         for slot, idx in zip(slots, terms)])
+            answers.append(row)
+            view = random.Random(f"{key_seed}/view/{d}")
+            taps = sorted(view.sample(range(1, len(row) + 1), int(size)))
+            positions.append(tuple(taps))
+            views.append(tuple(row[p - 1] for p in taps))
+        return Transcript(
+            answers=tuple(answers),
+            decoded=self.decode(answers),
+            eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(views)),
+        )
+
+    def decode(self, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        plan = self.plan
+        if len(answers) != plan.N:
+            raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
+        q = plan.q
+        values: list[int] = []
+        for d, (db, row) in enumerate(zip(self.dbs, answers), start=1):
+            code, noise_at, rows, slots, _, _ = db
+            if len(row) != len(slots):
+                raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
+            key = ()
+            if code.k:
+                try:
+                    key = mat_solve(rows, [row[i] for i in noise_at], q)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"db {d}: noise interpolation is singular — plan or answers corrupted"
+                    ) from exc
+            noise = code.encode(key)
+            values += [(a - noise[slot]) % q for a, slot in zip(row, slots)]
+        if self.error:
+            raise ValueError(self.error)
+        out = [0] * plan.dims.L
+        for phys, pos, subtract in self.program:
+            out[phys] = (values[pos] - sum(map(values.__getitem__, subtract))) % q
+        return tuple(out)
+
+
 def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     """Execute the plan against a store and decode the result.
 
@@ -94,49 +211,12 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     each answer is the sum of its permuted message symbols plus the noise
     symbol at its noise slot.  The eavesdropper's tapped positions are a
     seeded sample of exactly mu_n * t_n wire positions per database.
+    Runs through the plan's compiled wire, built for this one call.
 
-    Raises ``ValueError`` if the store does not fit the plan or some
-    mu_n * t_n is not an integer.
+    Raises ``ValueError`` if the store does not fit the plan, some
+    mu_n * t_n is not an integer, or ``decode`` fails.
     """
-    if store.M != plan.M:
-        raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
-    if store.L != plan.dims.L:
-        raise ValueError(f"store messages have {store.L} symbols, plan needs {plan.dims.L}")
-    if store.q != plan.q:
-        raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
-    q = plan.q
-    answers = []
-    positions = []
-    views = []
-    for d, queries in enumerate(plan.databases, start=1):
-        if not queries:
-            answers.append(())
-            positions.append(())
-            views.append(())
-            continue
-        size = _observation_size(plan, d)
-        if size.denominator != 1:
-            raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
-        code = mds_generator(len(queries), sum(qr.is_pure_noise for qr in queries), q)
-        rng = random.Random(f"{key_seed}/key/{d}")
-        key = tuple(rng.randrange(q) for _ in range(code.k))
-        noise = code.encode(key)
-        row = []
-        for qr in queries:
-            total = noise[qr.noise_slot - 1]
-            for m, s in qr.terms:
-                total = (total + store.messages[m - 1][plan.permutations[m - 1][s - 1] - 1]) % q
-            row.append(total)
-        answers.append(tuple(row))
-        taps = sorted(random.Random(f"{key_seed}/view/{d}").sample(range(1, len(queries) + 1), int(size)))
-        positions.append(tuple(taps))
-        views.append(tuple(row[p - 1] for p in taps))
-    decoded = decode(plan, tuple(answers))
-    return Transcript(
-        answers=tuple(answers),
-        decoded=decoded,
-        eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(views)),
-    )
+    return _Wire(plan).retrieve(store, key_seed)
 
 
 def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -148,87 +228,18 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
     of the identical undesired sum, or of the matching round-1 singles,
     downloaded at any database (its own included; ``plan_violations``
     demands another one).  Returns the message in physical symbol
-    order.
+    order.  Runs through the plan's compiled wire, built for this one
+    call.
 
     Raises
     ------
     ValueError
         If ``answers`` does not hold one row per database and one answer
-        per query, noise interpolation is singular, or side information
-        is missing/unresolvable (an internal error for honest plans).
+        per query (an idle database's row must be empty), noise
+        interpolation is singular, or side information is
+        missing/unresolvable (an internal error for honest plans).
     """
-    if len(answers) != plan.N:
-        raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
-    q = plan.q
-    values: list[tuple[int, ...]] = []
-    for d, queries in enumerate(plan.databases, start=1):
-        if not queries:
-            values.append(())
-            continue
-        if len(answers[d - 1]) != len(queries):
-            raise ValueError(
-                f"db {d}: {len(answers[d - 1])} answers for {len(queries)} queries"
-            )
-        noise_positions = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
-        code = mds_generator(len(queries), len(noise_positions), q)
-        rows = [code.generator[queries[i].noise_slot - 1] for i in noise_positions]
-        rhs = [answers[d - 1][i] for i in noise_positions]
-        if code.k:
-            try:
-                key = mat_solve(rows, rhs, q)
-            except ValueError as exc:
-                raise ValueError(
-                    f"db {d}: noise interpolation is singular — plan or answers corrupted"
-                ) from exc
-            noise = code.encode(tuple(key))
-        else:
-            noise = (0,) * len(queries)
-        values.append(
-            tuple(
-                (answers[d - 1][i] - noise[qr.noise_slot - 1]) % q
-                for i, qr in enumerate(queries)
-            )
-        )
-
-    # every undesired sum on the wire, at any database, by its terms (a
-    # round-1 single is the one-term sum); the last download wins
-    sums: dict[frozenset, int] = {}
-    for d, queries in enumerate(plan.databases, start=1):
-        for i, qr in enumerate(queries):
-            if not qr.is_pure_noise and plan.desired not in qr.message_set():
-                sums[frozenset(qr.terms)] = values[d - 1][i]
-
-    logical: dict[int, int] = {}
-    for d, queries in enumerate(plan.databases, start=1):
-        for i, qr in enumerate(queries):
-            if plan.desired not in qr.message_set():
-                continue
-            slot = next(s for m, s in qr.terms if m == plan.desired)
-            side = tuple(p for p in qr.terms if p[0] != plan.desired)
-            x = values[d - 1][i]
-            if frozenset(side) in sums:
-                x = (x - sums[frozenset(side)]) % q
-            else:
-                # resolve the side terms one round-1 single at a time
-                for pair in side:
-                    if frozenset([pair]) not in sums:
-                        raise ValueError(
-                            f"db {d}: side information {pair} for slot {slot} "
-                            "was never downloaded"
-                        )
-                    x = (x - sums[frozenset([pair])]) % q
-            logical[slot] = x
-
-    L = plan.dims.L
-    if sorted(logical) != list(range(1, L + 1)):
-        raise ValueError(
-            f"decode recovered {len(logical)} desired slots, expected 1..{L}"
-        )
-    perm = plan.permutations[plan.desired - 1]
-    out = [0] * L
-    for slot, val in logical.items():
-        out[perm[slot - 1] - 1] = val
-    return tuple(out)
+    return _Wire(plan).decode(answers)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +335,6 @@ def audit_security(plan: QueryPlan) -> dict:
     empty failing set (``"non-integral"``); an empty observation passes
     vacuously (``"empty"``).  Every verdict covers all sets
     (``exhaustive``), and ``sets_tested`` counts the rank checks run.
-
-    Raises ``ValueError`` if q is not prime or some t_n exceeds q.
     """
     entries = []
     status = "PASS"
@@ -345,8 +354,6 @@ def audit_security(plan: QueryPlan) -> dict:
             "failing_set": None,
         }
         entries.append(entry)
-        if t_d:
-            check_evaluation_points(t_d, plan.q)
         if not entry["exhaustive"]:
             entry.update(observation_size=str(size_exact), status="FAIL",
                          certificate="non-integral", failing_set=[])
@@ -374,20 +381,22 @@ def audit_security(plan: QueryPlan) -> dict:
 def audit_decodability(plan: QueryPlan, trials: int = 100, seed: int = 0) -> dict:
     """Run randomized end-to-end retrievals and demand exact decodes.
 
-    Each trial draws a fresh uniform store and key seed, executes the
-    plan, and compares the decoded message to the stored one.  Failures
-    carry the trial index and the first mismatching symbol positions (or
-    the decode error).  Raises ``ValueError`` if ``trials`` is below 1,
+    The plan's wire is compiled once and shared by every trial.  Each
+    trial draws a fresh uniform store and key seed, executes the plan,
+    and compares the decoded message to the stored one.  Failures carry
+    the trial index and the first mismatching symbol positions (or the
+    decode error).  Raises ``ValueError`` if ``trials`` is below 1,
     since zero trials prove nothing.
     """
     if trials < 1:
         raise ValueError(f"decodability needs at least 1 trial, got {trials}")
+    wire = _Wire(plan)
     failures = []
     expected_index = plan.desired - 1
     for trial in range(trials):
         store = random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
         try:
-            transcript = run_retrieval(plan, store, key_seed=f"{seed}/keys/{trial}")
+            transcript = wire.retrieve(store, key_seed=f"{seed}/keys/{trial}")
         except ValueError as exc:
             failures.append({"trial": trial, "error": str(exc)})
             continue

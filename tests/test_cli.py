@@ -193,6 +193,11 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: _set_first_term(doc, 1, 999), "db 1 query 1: slot 999 outside 1..12"),
         (lambda doc: doc["meta"].update(desired=0), "desired message 0 out of range 1..3"),
         (lambda doc: doc["meta"].update(desired=4), "desired message 4 out of range 1..3"),
+        # counts, indices and seeds must be JSON integers, and the field large enough
+        (lambda doc: doc["meta"].update(M=3.7), "M must be an integer, got 3.7"),
+        (lambda doc: doc["meta"].update(q=1.5), "q must be an integer, got 1.5"),
+        (lambda doc: doc["meta"].update(seed=True), "seed must be an integer, got True"),
+        (lambda doc: doc["meta"].update(q=2), "field too small: t=16 > q=2"),
         # malformed documents; an edit that returns a value replaces the document
         (lambda doc: [], "plan document must be a JSON object, not list"),
         (lambda doc: "x", "plan document must be a JSON object, not str"),

@@ -245,9 +245,12 @@ def _first_query(plan, **changes):
         (lambda p: _first_query(p, terms=((4, 1),)), "db 1 query 1: message 4 outside 1..3"),
         (lambda p: _first_query(p, terms=((1, 0),)), "db 1 query 1: slot 0 outside 1..12"),
         (lambda p: _first_query(p, terms=((1, 13),)), "db 1 query 1: slot 13 outside 1..12"),
+        # t = (16, 18): database 2 needs 18 distinct evaluation points
+        (lambda p: {"q": 17}, "field too small: t=18 > q=17"),
+        (lambda p: {"q": 21}, "field modulus must be prime, got 21"),
     ],
     ids=["databases", "desired-0", "desired-4", "noise-slot", "message-0", "message-4",
-         "symbol-slot-0", "symbol-slot-13"],
+         "symbol-slot-0", "symbol-slot-13", "field-too-small", "field-not-prime"],
 )
 def test_plan_rejects_out_of_range_index(change, message):
     plan = worked_plan()

@@ -95,6 +95,12 @@ def test_decode_detects_corrupted_answers():
     for rows in (tr.answers[:1], tr.answers + ((),)):
         with pytest.raises(ValueError, match=f"^{len(rows)} answer rows for 2 databases$"):
             decode(plan, rows)
+    # an idle database's row must be empty too: t = (3, 2, 0)
+    idle = build_plan(3, 3, (1, 1, 2), EavesdropProfile(["0", "1/2", "7/8"]), desired=1, seed=1)
+    tr = run_retrieval(idle, random_store(3, idle.dims.L, idle.q, seed=1), key_seed=1)
+    assert tr.answers[2] == ()
+    with pytest.raises(ValueError, match="^db 3: 3 answers for 0 queries$"):
+        decode(idle, tr.answers[:2] + ((1, 2, 3),))
 
 
 def test_run_retrieval_validates_store():
@@ -207,12 +213,6 @@ def test_audit_security_certificate_matches_exhaustive_enumeration(M, N, mu):
             assert e["sets_tested"] == (e["status"] == "FAIL")
         verdicts.add(report["status"])
     assert verdicts == {"PASS", "FAIL"}
-
-
-def test_audit_security_requires_distinct_evaluation_points():
-    small_field = dataclasses.replace(worked_plan(), q=17)  # t = 18 at db 2
-    with pytest.raises(ValueError, match="field too small: t=18 > q=17"):
-        audit_security(small_field)
 
 
 def test_run_retrieval_rejects_non_integral_observation_size():
@@ -366,3 +366,19 @@ def test_decodability_reports_match_golden_digest():
     assert [r["status"] for r in reports] == ["PASS"] * 5 + ["FAIL"] * 6
     blob = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "9fc0285a5860c812"
+
+
+def test_decode_errors_keep_their_precedence():
+    # a missing side term at db 1 (rewired) and a repeated pure-noise
+    # slot at db 2: answer counts come first, then the interpolation,
+    # then side information
+    bad = faults.rewired_side_information(worked_plan())
+    noise = [i for i, qr in enumerate(bad.databases[1]) if qr.is_pure_noise]
+    both = _with_query(bad, 2, noise[1], noise_slot=bad.databases[1][noise[0]].noise_slot)
+    store = random_store(3, bad.dims.L, bad.q, seed=1)
+    with pytest.raises(ValueError, match="^db 1: side information"):
+        run_retrieval(bad, store, key_seed=1)
+    with pytest.raises(ValueError, match="^db 2: noise interpolation is singular"):
+        run_retrieval(both, store, key_seed=1)
+    with pytest.raises(ValueError, match="^db 2: 17 answers for 18 queries$"):
+        decode(both, ((0,) * 16, (0,) * 17))
