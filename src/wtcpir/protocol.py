@@ -143,7 +143,7 @@ class _Wire:
                 subtract = tuple(index[frozenset([p])] for p in side)
             self.program.append((perms[desired - 1][slot - 1] - 1, pos, subtract))
             slots.add(slot)
-        if sorted(slots) != list(range(1, L + 1)):
+        if slots != set(range(1, L + 1)):
             self.error = f"decode recovered {len(slots)} desired slots, expected 1..{L}"
 
     def retrieve(self, store: MessageStore, key_seed) -> Transcript:
