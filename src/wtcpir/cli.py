@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Sequence
@@ -342,7 +343,13 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wtcpir`` argument parser, built once per process on first use.
+
+    Sharing it is safe: ``parse_args`` starts every call from a fresh
+    namespace and never changes the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="wtcpir",
         description="Exact capacity bounds, schemes, and executable query plans "

@@ -20,19 +20,39 @@ from typing import Iterator, Sequence
 # Primes and rationals
 # ---------------------------------------------------------------------------
 
+#: The first twelve primes.  Miller-Rabin to these bases is exact for every
+#: n < 318 665 857 834 031 151 167 461, the least strong pseudoprime to all
+#: of them (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+#: bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: Field moduli must lie below this bound, so ``is_prime`` judges each
+#: one exactly.
+MAX_FIELD_MODULUS = 2 ** 64
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division; moduli here are small)."""
+    """Deterministic Miller-Rabin primality test over the bases
+    ``_MR_BASES``; exact for n < 3.18·10^23, which covers every field
+    modulus below ``MAX_FIELD_MODULUS``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -141,7 +161,10 @@ class MdsCode:
 
 def check_evaluation_points(t: int, q: int) -> None:
     """Raise ``ValueError`` unless GF(q) is a prime field with t ≤ q, so
-    the t evaluation points α_i = i+1 (i = 0..t-1) are distinct mod q."""
+    the t evaluation points α_i = i+1 (i = 0..t-1) are distinct mod q, and
+    q < ``MAX_FIELD_MODULUS``, so its primality is decided exactly."""
+    if q >= MAX_FIELD_MODULUS:
+        raise ValueError(f"field modulus too large: q={q}, must be below 2**64")
     if not is_prime(q):
         raise ValueError(f"field modulus must be prime, got {q}")
     if t > q:

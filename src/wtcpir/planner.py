@@ -515,8 +515,13 @@ def plan_to_table(plan: QueryPlan) -> str:
 # ---------------------------------------------------------------------------
 
 def plan_to_json(plan: QueryPlan) -> str:
-    """Serialize to the versioned JSON document (stable byte-for-byte)."""
-    doc = {
+    """Serialize to the versioned JSON document: exactly the bytes of
+    ``json.dumps(doc, indent=2) + "\n"`` for the document ``{"version",
+    "meta", "databases"}``.  Only the small head goes through ``json``; the
+    databases block, whose shape never changes, is written directly,
+    since ``json`` falls back to its pure-Python encoder under ``indent``.
+    """
+    head = json.dumps({
         "version": 1,
         "meta": {
             "M": plan.M,
@@ -529,17 +534,23 @@ def plan_to_json(plan: QueryPlan) -> str:
             "desired": plan.desired,
             "seed": plan.seed,
         },
-        "databases": [
-            {
-                "queries": [
-                    {"terms": [[m, s] for m, s in qr.terms], "noise_slot": qr.noise_slot}
-                    for qr in queries
-                ]
-            }
-            for queries in plan.databases
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, indent=2)
+    dbs = []
+    for queries in plan.databases:
+        entries = []
+        for qr in queries:
+            pairs = [f"            [\n              {m},\n              {s}\n            ]"
+                     for m, s in qr.terms]
+            entries.append(f'        {{\n          "terms": {_json_list(pairs, "          ")},\n'
+                           f'          "noise_slot": {qr.noise_slot}\n        }}')
+        dbs.append(f'    {{\n      "queries": {_json_list(entries, "      ")}\n    }}')
+    # the head ends in the "\n}" that closes the document
+    return f"{head[:-2]},\n  \"databases\": {_json_list(dbs, '  ')}\n}}\n"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already indented ``items``, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
 
 
 def plan_from_json(text: str | dict) -> QueryPlan:

@@ -7,9 +7,11 @@ the package under test beyond reading plan structures.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
 
 def classic_rate(M: int, N: int) -> Fraction:
@@ -284,6 +286,43 @@ def gauss_jordan_solve(a, b, q: int) -> list[int]:
 
 def vandermonde(t: int, k: int, q: int):
     return [[pow(i + 1, j, q) for j in range(k)] for i in range(t)]
+
+
+def trial_division_prime(n: int) -> bool:
+    """Primality by trial division up to the square root (small n only)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# ---------------------------------------------------------------------------
+# Plan document through the standard library's encoder
+# ---------------------------------------------------------------------------
+
+def plan_document_stdlib(plan) -> str:
+    """The plan document as ``json.dumps(doc, indent=2) + "\\n"``."""
+    doc = {
+        "version": 1,
+        "meta": {
+            "M": plan.M,
+            "N": plan.N,
+            "q": plan.q,
+            "mu": [str(m) for m in plan.mu.mu],
+            "n": list(plan.group_sequence.n),
+            "nu": plan.dims.nu,
+            "t": list(plan.dims.t),
+            "desired": plan.desired,
+            "seed": plan.seed,
+        },
+        "databases": [
+            {
+                "queries": [
+                    {"terms": [[m, s] for m, s in qr.terms], "noise_slot": qr.noise_slot}
+                    for qr in queries
+                ]
+            }
+            for queries in plan.databases
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

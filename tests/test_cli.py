@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wtcpir
 from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json
 from wtcpir.cli import main
 
@@ -198,6 +203,7 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc["meta"].update(q=1.5), "q must be an integer, got 1.5"),
         (lambda doc: doc["meta"].update(seed=True), "seed must be an integer, got True"),
         (lambda doc: doc["meta"].update(q=2), "field too small: t=16 > q=2"),
+        (lambda doc: doc["meta"].update(q=2 ** 64 + 13), "field modulus too large"),
         # malformed documents; an edit that returns a value replaces the document
         (lambda doc: [], "plan document must be a JSON object, not list"),
         (lambda doc: "x", "plan document must be a JSON object, not str"),
@@ -211,6 +217,58 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
         assert code == 2 and out == "", message
         assert err.startswith("error: cannot load plan: ") and message in err, err
+
+
+def test_huge_prime_field_loads_and_runs(tmp_path, capsys):
+    # primality of a modulus near 10^18 is decided at once, not by trial division
+    plan_path = tmp_path / "plan.json"
+    run_cli(
+        capsys, "plan", "-M", "3", "-N", "2", "--mu", "1/4,1/2",
+        "--seed", "7", "--out", str(plan_path),
+    )
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    doc["meta"]["q"] = 1000000000000000003
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "simulate", "--plan", str(plan_path))
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path), "--trials", "5")
+    assert code == 0 and json.loads(out)["status"] == "PASS"
+
+
+def _fresh_process(argv):
+    src = Path(wtcpir.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wtcpir.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    # the parser is built once per process; no default or namespace value
+    # may carry over from one call to the next
+    worked = ["-M", "3", "-N", "2", "--mu", "1/4,1/2"]
+    calls = [
+        ["plan", *worked, "--n", "2,2,2", "--seed", "7"],
+        ["plan", *worked, "--seed", "7"],
+        ["capacity", "-M", "3", "--mu", "1/4,1/2"],
+        ["capacity", *worked],
+        ["capacity", *worked, "--format", "csv"],
+        ["capacity", *worked],
+    ]
+    got = [_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _ in got] == [0, 0, 2, 0, 0, 0]
+    assert got[0][1] != got[1][1] and got[4][1] != got[5][1]
+    assert got == [_fresh_process(argv) for argv in calls]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

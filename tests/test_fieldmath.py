@@ -8,6 +8,7 @@ import pytest
 
 from wtcpir.fieldmath import (
     MdsCode,
+    check_evaluation_points,
     is_prime,
     mat_rank,
     mat_solve,
@@ -17,13 +18,35 @@ from wtcpir.fieldmath import (
     smallest_prime_at_least,
 )
 
-from oracles import gauss_jordan_solve, rank_gf, vandermonde
+from oracles import gauss_jordan_solve, rank_gf, trial_division_prime, vandermonde
 
 
 def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10 ** 5):
+        assert is_prime(n) == trial_division_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..23
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert 3215031751 == 151 * 751 * 28351
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert is_prime(1000000000000000003) and is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+
+
+def test_field_modulus_below_two_to_the_64():
+    check_evaluation_points(3, 2 ** 64 - 59)
+    # 2**64 + 13 is prime, and still refused
+    with pytest.raises(ValueError, match="field modulus too large"):
+        check_evaluation_points(3, 2 ** 64 + 13)
+    with pytest.raises(ValueError, match="field modulus too large"):
+        check_evaluation_points(3, 2 ** 64)
 
 
 def test_smallest_prime_at_least():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -23,10 +24,12 @@ from wtcpir.schemes import (
     EavesdropProfile,
     achievable_rate,
     enumerate_sequences,
+    repetition_factor,
     stage_counts,
 )
 
 import faults
+from oracles import plan_document_stdlib
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU0 = EavesdropProfile([0, 0])
@@ -129,6 +132,28 @@ def test_plans_match_golden_digest():
                         count += 1
     assert count == 172
     assert digest.hexdigest() == "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468"
+
+
+def test_plan_document_matches_stdlib_encoder():
+    # the direct writer against json.dumps(doc, indent=2): per shape with M in
+    # 2..6 and N in 2..4, a seeded sequence of at most 1000 downloads at two
+    # profiles, then an idle database, and a tampered plan after a reload
+    rng = random.Random(15)
+    plans = []
+    for M in range(2, 7):
+        for N in range(2, 5):
+            seqs = list(enumerate_sequences(M, N))
+            profiles = (EavesdropProfile([0] * N), EavesdropProfile([Fraction(d, 2 * N) for d in range(N)]))
+            for mu in profiles:
+                g = rng.choice([g for g in seqs if sum(repetition_factor(g, mu).t) <= 1000])
+                plans.append(build_plan(M, N, g, mu, desired=rng.randint(1, M), seed=rng.randrange(100)))
+    idle = build_plan(3, 3, (1, 1, 2), EavesdropProfile([0, "1/2", "7/8"]), desired=2, seed=4)
+    assert idle.databases[2] == ()
+    tampered = plan_from_json(plan_to_json(faults.shorter_key(worked_plan())))
+    plans += [idle, tampered]
+    assert max(p.dims.nu for p in plans) > 1
+    for plan in plans:
+        assert plan_to_json(plan) == plan_document_stdlib(plan), (plan.M, plan.N, plan.group_sequence.n)
 
 
 def test_stats_count_the_key_on_the_wire():
