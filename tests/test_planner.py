@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -19,7 +20,7 @@ from wtcpir.planner import (
     plan_to_table,
     plan_violations,
 )
-from wtcpir.protocol import audit_security
+from wtcpir.protocol import audit_privacy, audit_security
 from wtcpir.schemes import (
     EavesdropProfile,
     achievable_rate,
@@ -132,6 +133,69 @@ def test_plans_match_golden_digest():
                         count += 1
     assert count == 172
     assert digest.hexdigest() == "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468"
+
+
+STRUCTURE_SHAPES = (
+    (3, 2, ("1/4", "1/2")),
+    (3, 2, ("0", "0")),
+    (4, 2, ("0", "1/3")),
+    (4, 3, ("0", "1/4", "1/2")),
+    (3, 3, ("0", "1/2", "7/8")),
+)
+
+
+def _structure_variants(plan):
+    """The plan, a shorter key at each database holding noise, a rewired
+    side sum where one exists, and, at the last database with two
+    queries, two equal noise slots and a dropped last query."""
+    variants = [plan]
+    for d, queries in enumerate(plan.databases, start=1):
+        if any(qr.is_pure_noise for qr in queries):
+            variants.append(faults.shorter_key(plan, database=d))
+    try:
+        rewired = faults.rewired_side_information(plan)
+    except AssertionError:
+        pass  # no desired sum of round 3 or more to rewire
+    else:
+        variants.append(rewired)
+        # a shorter key where the rewiring is, for stage and side
+        # information findings at one database
+        d = next(d for d, (a, b) in enumerate(zip(plan.databases, rewired.databases), start=1)
+                 if a != b)
+        if any(qr.is_pure_noise for qr in rewired.databases[d - 1]):
+            variants.append(faults.shorter_key(rewired, database=d))
+    d = max(d for d, queries in enumerate(plan.databases, start=1) if len(queries) >= 2)
+    first, second, *rest = plan.databases[d - 1]
+    variants.append(faults._replace_db(
+        plan, d, [first, dataclasses.replace(second, noise_slot=first.noise_slot), *rest]))
+    variants.append(faults._replace_db(plan, d, plan.databases[d - 1][:-1]))
+    return variants
+
+
+def test_structure_reports_match_golden_digest():
+    # plan_violations, plan_stats and audit_security of honest and broken
+    # plans of every monotone sequence at five shapes, desired 1 and M, then
+    # audit_privacy over every desired message and over a broken symmetry
+    digest = hashlib.sha256()
+    count = flagged = 0
+    for M, N, mu in STRUCTURE_SHAPES:
+        profile = EavesdropProfile(list(mu))
+        for g in enumerate_sequences(M, N):
+            plans = [build_plan(M, N, g, profile, desired=i, seed=10 * M + N) for i in range(1, M + 1)]
+            for plan in (plans[0], plans[-1]):
+                for variant in _structure_variants(plan):
+                    report = [plan_violations(variant), plan_stats(variant), audit_security(variant)]
+                    digest.update(json.dumps(report, default=str).encode())
+                    flagged += bool(report[0])
+                    count += 1
+            digest.update(json.dumps(audit_privacy(plans)).encode())
+            try:
+                broken = faults.broken_symmetry(M, N, g, profile, seed=10 * M + N)
+            except AssertionError:
+                continue  # no undesired multi-sum to tamper with
+            digest.update(json.dumps(audit_privacy(broken)).encode())
+    assert (count, flagged) == (384, 308)
+    assert digest.hexdigest() == "6f162ae9e5888e1f01dbd35cd1aed7e9beaeb4feee5deae3d5c1d5be0a1c8c55"
 
 
 def test_plan_document_matches_stdlib_encoder():
