@@ -94,6 +94,15 @@ class QueryPlan:
     ``permutations[m-1]`` is the bijection taking logical slot s to the
     physical symbol index ``permutations[m-1][s-1]`` of message m.
 
+    The structure that the planner, the decoder and the audits read is
+    compiled in the same walk.  ``signatures[d-1]`` is database d's
+    ``signature``.  ``sums`` maps every downloaded undesired sum (a
+    round-1 single is the one-term sum), as a frozenset of terms, to the
+    (database, flat wire position) pairs that download it, in wire order;
+    flat positions count every database's queries in turn.  ``bearing``
+    lists each desired-bearing query in wire order as (database, flat
+    wire position, desired slot, side terms).
+
     Every plan, built or loaded, is checked on construction: it lists N
     databases, ``desired`` lies in 1..M, GF(q) is a prime field with
     t_d <= q for every database d (distinct noise evaluation points),
@@ -112,6 +121,9 @@ class QueryPlan:
     N: int = field(init=False)
     dims: PlanDimensions = field(init=False)
     permutations: tuple[tuple[int, ...], ...] = field(init=False)
+    signatures: tuple[Counter, ...] = field(init=False, compare=False, repr=False)
+    sums: dict[frozenset, list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
+    bearing: list[tuple[int, int, int, tuple]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         g = self.group_sequence
@@ -125,6 +137,9 @@ class QueryPlan:
         if not 1 <= self.desired <= self.M:
             raise ValueError(f"desired message {self.desired} out of range 1..{self.M}")
         L = dims.L
+        sums: dict[frozenset, list[tuple[int, int]]] = {}
+        bearing = []
+        pos = 0
         for d, queries in enumerate(self.databases, start=1):
             check_evaluation_points(len(queries), self.q)
             for i, qr in enumerate(queries, start=1):
@@ -137,6 +152,15 @@ class QueryPlan:
                         raise ValueError(f"db {d} query {i}: message {m} outside 1..{self.M}")
                     if not 1 <= slot <= L:
                         raise ValueError(f"db {d} query {i}: slot {slot} outside 1..{L}")
+                side = tuple(p for p in qr.terms if p[0] != self.desired)
+                if len(side) < len(qr.terms):
+                    bearing.append((d, pos, dict(qr.terms)[self.desired], side))
+                elif side:
+                    sums.setdefault(frozenset(side), []).append((d, pos))
+                pos += 1
+        object.__setattr__(self, "signatures", tuple(map(signature, self.databases)))
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "bearing", bearing)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +354,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
     problems: list[str] = []
     sc = stage_counts(g)
 
-    # every undesired sum on the wire (a round-1 single is the one-term sum)
-    # and the databases that download it
-    held: dict[frozenset, set[int]] = {}
-    for d, queries in enumerate(plan.databases, start=1):
-        for qr in queries:
-            if not qr.is_pure_noise and plan.desired not in qr.message_set():
-                held.setdefault(frozenset(qr.terms), set()).add(d)
-
     def elsewhere(terms, d: int) -> bool:
-        return any(other != d for other in held.get(frozenset(terms), ()))
+        return any(other != d for other, _ in plan.sums.get(frozenset(terms), ()))
 
     desired_slots: list[int] = []
     for d, queries in enumerate(plan.databases, start=1):
@@ -350,16 +366,13 @@ def plan_violations(plan: QueryPlan) -> list[str]:
         noise_slots = sorted(qr.noise_slot for qr in queries)
         if noise_slots != list(range(1, t_d + 1)):
             problems.append(f"db {d}: noise slots are not a bijection onto 1..{t_d}")
-        sig = signature(queries)
+        sig = plan.signatures[d - 1]
         pure = sig[frozenset()]
         if pure != dims.key_len[d - 1]:
             problems.append(
                 f"db {d}: {pure} pure-noise downloads, key length is {dims.key_len[d - 1]}"
             )
-        used: Counter = Counter()
-        for qr in queries:
-            for pair in qr.terms:
-                used[pair] += 1
+        used = Counter(pair for qr in queries for pair in qr.terms)
         dup = [pair for pair, c in used.items() if c > 1]
         if dup:
             problems.append(f"db {d}: symbol slots downloaded twice: {sorted(dup)[:3]}")
@@ -376,15 +389,12 @@ def plan_violations(plan: QueryPlan) -> list[str]:
                     )
                     break
 
-        for qr in queries:
-            if plan.desired not in qr.message_set():
-                continue
-            desired_slots.append(next(s for m, s in qr.terms if m == plan.desired))
-            side = tuple(p for p in qr.terms if p[0] != plan.desired)
+        for _, _, slot, side in (b for b in plan.bearing if b[0] == d):
+            desired_slots.append(slot)
             if not side or elsewhere(side, d) or all(elsewhere([p], d) for p in side):
                 continue
             problems.append(
-                f"db {d}: side information {side} for a round-{qr.round} desired "
+                f"db {d}: side information {side} for a round-{len(side) + 1} desired "
                 "sum is not downloadable elsewhere"
             )
 
@@ -410,10 +420,9 @@ def plan_stats(plan: QueryPlan) -> dict:
     stages, otherwise an exact ``Fraction``).
     """
     t = tuple(len(qs) for qs in plan.databases)
-    sigs = [signature(qs) for qs in plan.databases]
-    L = len({s for qs in plan.databases for qr in qs for m, s in qr.terms if m == plan.desired})
+    L = len({slot for _, _, slot, _ in plan.bearing})
     per_round: dict[int, dict[int, int]] = {}
-    for d, sig in enumerate(sigs, start=1):
+    for d, sig in enumerate(plan.signatures, start=1):
         rounds: Counter = Counter()
         for ms, cnt in sig.items():
             if ms:
@@ -433,7 +442,7 @@ def plan_stats(plan: QueryPlan) -> dict:
         "nu": plan.dims.nu,
         "desired": plan.desired,
         "t": list(t),
-        "key_len": [sig[frozenset()] for sig in sigs],
+        "key_len": [sig[frozenset()] for sig in plan.signatures],
         "total_download": total,
         "L": L,
         "rate": Fraction(L, total),

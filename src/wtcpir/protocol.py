@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Sequence
 
 from .fieldmath import mat_rank, mat_solve, mds_generator
-from .planner import QueryPlan, signature
+from .planner import QueryPlan
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,18 @@ class _Wire:
     pure-noise downloads, the generator rows at their noise slots, each
     query's noise-slot index, each query's terms as flat store indices
     (permutation applied), and its observation size mu_d * t_d.
-    ``program`` lists, per desired-bearing query in wire order, its
-    physical output index, its flat wire position and the positions whose
-    values it subtracts.  ``error`` is the first decode failure the plan
-    forces (missing side information, else a wrong count of recovered
-    desired slots), or None.
+    ``program`` lists, per entry of the plan's ``bearing``, its physical
+    output index, its flat wire position and the flat positions whose
+    values it subtracts: the last download, at any database, of its side
+    sum in the plan's ``sums``, else of each of its round-1 singles.
+    ``error`` is the first decode failure the plan forces (missing side
+    information, else a wrong count of recovered desired slots), or None.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
-        L, desired, perms = plan.dims.L, plan.desired, plan.permutations
+        L, perms, sums = plan.dims.L, plan.permutations, plan.sums
         self.dbs = []
-        # every undesired sum on the wire, at any database, by its terms (a
-        # round-1 single is the one-term sum); the last download wins
-        index: dict[frozenset, int] = {}
-        bearing = []  # (database, flat wire position, query) per desired-bearing query
-        pos = 0
         for d, queries in enumerate(plan.databases, start=1):
             noise_at = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
             code = mds_generator(len(queries), len(noise_at), plan.q)
@@ -118,31 +114,22 @@ class _Wire:
                 [[(m - 1) * L + perms[m - 1][s - 1] - 1 for m, s in qr.terms] for qr in queries],
                 _observation_size(plan, d),
             ))
-            for qr in queries:
-                if desired in qr.message_set():
-                    bearing.append((d, pos, qr))
-                elif qr.terms:
-                    index[frozenset(qr.terms)] = pos
-                pos += 1
 
         self.program: list[tuple[int, int, tuple[int, ...]]] = []
         self.error = None
-        slots = set()
-        for d, pos, qr in bearing:
-            slot = next(s for m, s in qr.terms if m == desired)
-            side = tuple(p for p in qr.terms if p[0] != desired)
-            if frozenset(side) in index:
-                subtract = (index[frozenset(side)],)
+        for d, pos, slot, side in plan.bearing:
+            if frozenset(side) in sums:
+                subtract = (sums[frozenset(side)][-1][1],)
             else:
                 # resolve the side terms one round-1 single at a time
-                missing = next((p for p in side if frozenset([p]) not in index), None)
+                missing = next((p for p in side if frozenset([p]) not in sums), None)
                 if missing is not None:
                     self.error = (f"db {d}: side information {missing} for slot {slot} "
                                   "was never downloaded")
                     return
-                subtract = tuple(index[frozenset([p])] for p in side)
-            self.program.append((perms[desired - 1][slot - 1] - 1, pos, subtract))
-            slots.add(slot)
+                subtract = tuple(sums[frozenset([p])][-1][1] for p in side)
+            self.program.append((perms[plan.desired - 1][slot - 1] - 1, pos, subtract))
+        slots = {slot for _, _, slot, _ in plan.bearing}
         if slots != set(range(1, L + 1)):
             self.error = f"decode recovered {len(slots)} desired slots, expected 1..{L}"
 
@@ -259,7 +246,7 @@ def audit_privacy(plans: Sequence[QueryPlan]) -> dict:
     entries = []
     status = "PASS"
     for d in range(1, plans[0].N + 1):
-        counters = [signature(plan.databases[d - 1]) for plan in plans]
+        counters = [plan.signatures[d - 1] for plan in plans]
         diff = None
         for plan, ctr in zip(plans[1:], counters[1:]):
             if ctr != counters[0]:
@@ -340,7 +327,7 @@ def audit_security(plan: QueryPlan) -> dict:
     status = "PASS"
     for d, queries in enumerate(plan.databases, start=1):
         t_d = len(queries)
-        key_len = sum(1 for qr in queries if qr.is_pure_noise)
+        key_len = plan.signatures[d - 1][frozenset()]
         size_exact = _observation_size(plan, d)
         entry = {
             "database": d,
