@@ -232,7 +232,9 @@ def _load_plan(path: str):
         return plan_from_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise UsageError(f"plan file not found: {path}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, RecursionError, ValueError, KeyError, TypeError) as exc:
+        # OSError: a directory or an unreadable file; RecursionError: too
+        # deeply nested JSON
         raise UsageError(f"cannot load plan: {exc}") from exc
 
 

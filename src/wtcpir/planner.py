@@ -415,7 +415,7 @@ def plan_stats(plan: QueryPlan) -> dict:
 
     Returns a JSON-friendly dict with the answer lengths, pure-noise
     download counts (``key_len``), desired-symbol count, exact rate
-    L / sum(t), and per-round stage counts per database
+    L / sum(t) (None for a plan that downloads nothing), and per-round stage counts per database
     (round-k query count divided by binom(M, k): an int for complete
     stages, otherwise an exact ``Fraction``).
     """
@@ -445,7 +445,7 @@ def plan_stats(plan: QueryPlan) -> dict:
         "key_len": [sig[frozenset()] for sig in plan.signatures],
         "total_download": total,
         "L": L,
-        "rate": Fraction(L, total),
+        "rate": Fraction(L, total) if total else None,
         "stages_per_round": per_round,
     }
 
@@ -577,7 +577,8 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         symbol slot).
     KeyError, TypeError
         If a field is missing or holds the wrong JSON type; every count,
-        index and seed must be a JSON integer (not a float or a boolean).
+        index and seed must be a JSON integer (not a float or a boolean),
+        and ``databases``, ``queries``, ``terms`` and ``n`` JSON arrays.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -591,7 +592,7 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         mu=EavesdropProfile(meta["mu"]),
         group_sequence=derive_groups(
             _integer(meta["M"], "M"), _integer(meta["N"], "N"),
-            tuple(_integer(v, "n") for v in meta["n"]),
+            tuple(_integer(v, "n") for v in _array(meta["n"], "n")),
         ),
         desired=_integer(meta["desired"], "desired"),
         seed=_integer(meta["seed"], "seed"),
@@ -599,12 +600,12 @@ def plan_from_json(text: str | dict) -> QueryPlan:
             tuple(
                 Query(
                     terms=tuple((_integer(m, "terms"), _integer(s, "terms"))
-                                for m, s in entry["terms"]),
+                                for m, s in _array(entry["terms"], "terms")),
                     noise_slot=_integer(entry["noise_slot"], "noise_slot"),
                 )
-                for entry in db["queries"]
+                for entry in _array(db["queries"], "queries")
             )
-            for db in doc["databases"]
+            for db in _array(doc["databases"], "databases")
         ),
     )
 
@@ -613,4 +614,11 @@ def _integer(value, name: str) -> int:
     # bool is an int subclass, so JSON true would otherwise load as 1
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _array(value, name: str) -> list:
+    # an object or string would otherwise iterate as keys or characters
+    if type(value) is not list:
+        raise TypeError(f"{name} must be an array, got {value!r}")
     return value

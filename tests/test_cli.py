@@ -177,6 +177,10 @@ def _set_noise_slot(doc, value):
     doc["databases"][0]["queries"][0]["noise_slot"] = value
 
 
+def _set_first_query(doc, **fields):
+    doc["databases"][0]["queries"][0].update(fields)
+
+
 def _set_first_term(doc, index, value):
     doc["databases"][0]["queries"][0]["terms"][0][index] = value
 
@@ -207,8 +211,15 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         # malformed documents; an edit that returns a value replaces the document
         (lambda doc: [], "plan document must be a JSON object, not list"),
         (lambda doc: "x", "plan document must be a JSON object, not str"),
-        (lambda doc: doc.update(databases=None), "'NoneType' object is not iterable"),
+        (lambda doc: doc.update(databases=None), "databases must be an array, got None"),
         (lambda doc: doc.update(meta=[]), "list indices must be integers"),
+        # an object or string where an array belongs would iterate silently
+        (lambda doc: _set_first_query(doc, terms={}), "terms must be an array, got {}"),
+        (lambda doc: _set_first_query(doc, terms=""), "terms must be an array, got ''"),
+        (lambda doc: doc["databases"][0].update(queries={}), "queries must be an array, got {}"),
+        (lambda doc: doc["databases"][0].update(queries=""), "queries must be an array, got ''"),
+        (lambda doc: doc.update(databases={}), "databases must be an array, got {}"),
+        (lambda doc: doc["meta"].update(n="122"), "n must be an array, got '122'"),
     ]
     for edit, message in cases:
         doc = json.loads(honest)
@@ -331,9 +342,43 @@ def test_simulate_undecodable_plan_fails_with_exit_1(plan_files, capsys, kind, s
     assert rep["stats"]["rate"] == "6/17" and "transcript" not in rep
 
 
-def test_simulate_missing_plan_is_usage_error(tmp_path, capsys):
+def test_simulate_missing_plan_is_usage_error(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--plan", str(tmp_path / "missing.json"))
     assert code == 2 and "not found" in err
+    # a directory, too deeply nested JSON and an unreadable file are usage
+    # errors too, for both commands that read a plan
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    cases = [(str(tmp_path), "Is a directory"), (str(tmp_path / "deep.json"), "recursion")]
+    for command in ("simulate", "audit"):
+        for path, message in cases:
+            code, out, err = run_cli(capsys, command, "--plan", path)
+            assert (code, out) == (2, "") and err.startswith("error: cannot load plan: ")
+            assert message in err, err
+
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    for command in ("simulate", "audit"):
+        code, out, err = run_cli(capsys, command, "--plan", str(tmp_path / "plan.json"))
+        assert (code, out) == (2, "") and "Permission denied" in err, err
+
+
+def test_simulate_plan_that_downloads_nothing_fails_with_exit_1(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    run_cli(
+        capsys, "plan", "-M", "3", "-N", "2", "--mu", "1/4,1/2",
+        "--seed", "7", "--out", str(plan_path),
+    )
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    for db in doc["databases"]:
+        db["queries"] = []
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--plan", str(plan_path))
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == "FAIL" and rep["error"] == "decode recovered 0 desired slots, expected 1..12"
+    assert rep["stats"]["total_download"] == 0 and rep["stats"]["rate"] is None
 
 
 def test_sweep_csv_grid(capsys):
