@@ -415,9 +415,10 @@ def plan_stats(plan: QueryPlan) -> dict:
 
     Returns a JSON-friendly dict with the answer lengths, pure-noise
     download counts (``key_len``), desired-symbol count, exact rate
-    L / sum(t) (None for a plan that downloads nothing), and per-round stage counts per database
-    (round-k query count divided by binom(M, k): an int for complete
-    stages, otherwise an exact ``Fraction``).
+    L / sum(t) (None for a plan that downloads nothing), and per-round
+    stage counts per database (round-k query count divided by
+    binom(M, k): an int for complete stages, otherwise an exact
+    ``Fraction``).
     """
     t = tuple(len(qs) for qs in plan.databases)
     L = len({slot for _, _, slot, _ in plan.bearing})
@@ -578,7 +579,8 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     KeyError, TypeError
         If a field is missing or holds the wrong JSON type; every count,
         index and seed must be a JSON integer (not a float or a boolean),
-        and ``databases``, ``queries``, ``terms`` and ``n`` JSON arrays.
+        and ``databases``, ``queries``, ``terms``, ``n`` and ``mu`` JSON
+        arrays.
     """
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -589,7 +591,7 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     meta = doc["meta"]
     return QueryPlan(
         q=_integer(meta["q"], "q"),
-        mu=EavesdropProfile(meta["mu"]),
+        mu=EavesdropProfile(_array(meta["mu"], "mu")),
         group_sequence=derive_groups(
             _integer(meta["M"], "M"), _integer(meta["N"], "N"),
             tuple(_integer(v, "n") for v in _array(meta["n"], "n")),

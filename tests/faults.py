@@ -50,13 +50,6 @@ def rewired_side_information(plan: QueryPlan) -> QueryPlan:
     """One side-information wire redirected: a desired-bearing sum gets a
     slot mix that was downloaded nowhere, so its value can no longer be
     resolved."""
-    # every undesired sum on the wire (a round-1 single is the one-term sum)
-    sums = {
-        frozenset(qr.terms)
-        for queries in plan.databases
-        for qr in queries
-        if not qr.is_pure_noise and plan.desired not in qr.message_set()
-    }
     for d in range(1, plan.N + 1):
         qs = list(plan.databases[d - 1])
         for i, qr in enumerate(qs):
@@ -70,7 +63,7 @@ def rewired_side_information(plan: QueryPlan) -> QueryPlan:
                         if m != swap_msg or (m, s) == side[0]:
                             continue
                         new_side = frozenset([(m, s)] + side[1:])
-                        if new_side in sums or all(frozenset([p]) in sums for p in new_side):
+                        if new_side in plan.sums or all(frozenset([p]) in plan.sums for p in new_side):
                             continue  # still resolvable; keep looking
                         terms = tuple(
                             (m2, s2) if (m2, s2) != side[0] else (m, s)

@@ -220,6 +220,7 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc["databases"][0].update(queries=""), "queries must be an array, got ''"),
         (lambda doc: doc.update(databases={}), "databases must be an array, got {}"),
         (lambda doc: doc["meta"].update(n="122"), "n must be an array, got '122'"),
+        (lambda doc: doc["meta"].update(mu="00"), "mu must be an array, got '00'"),
     ]
     for edit, message in cases:
         doc = json.loads(honest)
