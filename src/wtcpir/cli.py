@@ -11,8 +11,10 @@ sweep      grid of profiles -> CSV of upper/lower bounds and gaps
 
 Exit codes: 0 success / all audits pass, 1 audit or decode failure,
 2 usage error.  Output is byte-identical for identical inputs and seeds.
-The security verdict of ``audit`` is an exact certificate per database
-(see ``protocol.audit_security``), never a sample of observation sets.
+The security and decodability verdicts of ``audit`` are exact
+certificates (see ``protocol.audit_security`` and
+``protocol.audit_decodability``), never samples of observation sets or
+retrievals; the decodability trials only cross-check the arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .planner import (
     plan_violations,
 )
 from .protocol import (
+    DEFAULT_TRIALS,
     audit_decodability,
     audit_privacy,
     audit_security,
@@ -388,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="privacy, security, decodability, and structure audits")
     p.add_argument("--plan", required=True, help="path to a plan JSON document")
-    p.add_argument("--trials", type=int, default=100, help="decodability trials")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                   help="retrievals that cross-check a decodability proof (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="seed for decodability trials")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")

@@ -579,8 +579,11 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     KeyError, TypeError
         If a field is missing or holds the wrong JSON type; every count,
         index and seed must be a JSON integer (not a float or a boolean),
-        and ``databases``, ``queries``, ``terms``, ``n`` and ``mu`` JSON
-        arrays.
+        ``databases``, ``queries``, ``terms``, ``n`` and ``mu`` JSON
+        arrays, each database and query a JSON object and each term an
+        array of two integers [message, slot].  A fault inside a database
+        names it ("db d: ..."), and one inside a query names both
+        ("db d query i: ...").
     """
     doc = json.loads(text) if isinstance(text, str) else text
     if not isinstance(doc, dict):
@@ -599,23 +602,39 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         desired=_integer(meta["desired"], "desired"),
         seed=_integer(meta["seed"], "seed"),
         databases=tuple(
-            tuple(
-                Query(
-                    terms=tuple((_integer(m, "terms"), _integer(s, "terms"))
-                                for m, s in _array(entry["terms"], "terms")),
-                    noise_slot=_integer(entry["noise_slot"], "noise_slot"),
-                )
-                for entry in _array(db["queries"], "queries")
-            )
-            for db in _array(doc["databases"], "databases")
+            _database_from_json(db, d)
+            for d, db in enumerate(_array(doc["databases"], "databases"), start=1)
         ),
     )
+
+
+def _database_from_json(db, d: int) -> tuple[Query, ...]:
+    entries = _array(_object(db, f"db {d}", "a database")["queries"], f"db {d}: queries")
+    return tuple(_query_from_json(entry, f"db {d} query {i}")
+                 for i, entry in enumerate(entries, start=1))
+
+
+def _query_from_json(entry, where: str) -> Query:
+    terms = _array(_object(entry, where, "a query")["terms"], f"{where}: terms")
+    for term in terms:
+        if type(term) is not list or len(term) != 2 or type(term[0]) is not int \
+                or type(term[1]) is not int:
+            raise TypeError(f"{where}: a term must be [message, slot], got {term!r}")
+    return Query(terms=tuple(map(tuple, terms)),
+                 noise_slot=_integer(entry["noise_slot"], f"{where}: noise_slot"))
 
 
 def _integer(value, name: str) -> int:
     # bool is an int subclass, so JSON true would otherwise load as 1
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _object(value, where: str, name: str) -> dict:
+    # an array would otherwise fail on its first field lookup
+    if type(value) is not dict:
+        raise TypeError(f"{where}: {name} must be an object, not {type(value).__name__}")
     return value
 
 

@@ -14,8 +14,10 @@ Audits check the three scheme guarantees directly on wire data:
 - ``audit_security``  — every eavesdropper observation set meets a
   full-rank noise submatrix (observations look uniform), proved per
   database by the Vandermonde MDS property or refuted by a witness set;
-- ``audit_decodability`` — randomized end-to-end retrievals decode
-  exactly.
+- ``audit_decodability`` — every retrieval decodes exactly, proved from
+  the compiled wire (the decoder is linear: distinct pure-noise slots make
+  each noise interpolation invertible, and side information is subtracted
+  as identical sums), with seeded retrievals as a check of the arithmetic.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ class Transcript:
     eavesdropper: EavesdropperView
 
 
+#: Cross-check retrievals ``audit_decodability`` runs on a proved plan
+#: unless told otherwise, and the default of ``wtcpir audit --trials``.
+DEFAULT_TRIALS = 32
+
+
 def _observation_size(plan: QueryPlan, d: int) -> Fraction:
     return plan.mu.mu[d - 1] * len(plan.databases[d - 1])
 
@@ -132,6 +139,20 @@ class _Wire:
         slots = {slot for _, _, slot, _ in plan.bearing}
         if slots != set(range(1, L + 1)):
             self.error = f"decode recovered {len(slots)} desired slots, expected 1..{L}"
+
+    def certificate(self) -> str:
+        """``"linear"`` if every retrieval through this wire decodes
+        exactly, else the first failing condition in the order the
+        retrieval raises it: ``"non-integral"`` (some mu_d * t_d is not an
+        integer), ``"singular"`` (two pure-noise downloads of a database
+        share a noise slot, so its interpolation matrix has equal rows) or
+        ``"side-information"`` (``error`` is set)."""
+        if any(size.denominator != 1 for *_, size in self.dbs):
+            return "non-integral"
+        for _, noise_at, _, slots, _, _ in self.dbs:
+            if len({slots[i] for i in noise_at}) < len(noise_at):
+                return "singular"
+        return "side-information" if self.error else "linear"
 
     def retrieve(self, store: MessageStore, key_seed) -> Transcript:
         plan = self.plan
@@ -365,36 +386,71 @@ def audit_security(plan: QueryPlan) -> dict:
     return {"audit": "security", "status": status, "databases": entries}
 
 
-def audit_decodability(plan: QueryPlan, trials: int = 100, seed: int = 0) -> dict:
-    """Run randomized end-to-end retrievals and demand exact decodes.
+def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
+    """Prove that every retrieval decodes exactly, and check the proof
+    against seeded retrievals.
 
-    The plan's wire is compiled once and shared by every trial.  Each
-    trial draws a fresh uniform store and key seed, executes the plan,
-    and compares the decoded message to the stored one.  Failures carry
-    the trial index and the first mismatching symbol positions (or the
-    decode error).  Raises ``ValueError`` if ``trials`` is below 1,
-    since zero trials prove nothing.
+    The decoder is an affine map of (store, key) over GF(q), so whether it
+    returns the desired message depends on the plan's structure alone.
+    Decoding succeeds for every store and every key exactly when
+
+    - every mu_d * t_d is an integer (the retrieval taps that many
+      positions);
+    - every keyed database's pure-noise slots are pairwise distinct: a
+      pure-noise answer carries no message term, and its generator rows
+      G_P then form an invertible Vandermonde matrix (t_d <= q), so the
+      key and with it every noise symbol is interpolated exactly;
+    - the compiled wire's side-information program resolves every desired
+      slot (``_Wire.error`` is None).  ``Query`` forbids a message mixed
+      with itself, so a desired-bearing query has exactly one desired
+      term, and its side terms are subtracted as the identical undesired
+      sum, or as the identical round-1 singles, downloaded at some
+      database.
+
+    A PASS reports ``certificate: "linear"``; a FAIL names the first
+    failing condition (``"non-integral"``, ``"singular"`` or
+    ``"side-information"``; see ``_Wire.certificate``).
+
+    The trials then check the arithmetic.  The wire is compiled once;
+    each trial draws a fresh uniform store and key seed, executes the
+    plan and compares the decoded message to the stored one.  On a PASS
+    all ``trials`` run.  A wrong decoder is another affine map, which
+    agrees with the right one on a uniform input with probability at most
+    1/q, so ``DEFAULT_TRIALS`` = 32 agreeing trials leave a miss chance of
+    at most q^-32 <= 2^-32.  On a FAIL one trial runs, and its decode
+    error is the report's one failure.  A trial that contradicts the
+    proof raises ``RuntimeError``, as ``audit_security`` does when a
+    witness set has full rank.  Raises ``ValueError`` if ``trials`` is
+    below 1.
     """
     if trials < 1:
         raise ValueError(f"decodability needs at least 1 trial, got {trials}")
     wire = _Wire(plan)
+    certificate = wire.certificate()
+    proved = certificate == "linear"
+    runs = trials if proved else 1
     failures = []
-    expected_index = plan.desired - 1
-    for trial in range(trials):
+    for trial in range(runs):
         store = random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
         try:
-            transcript = wire.retrieve(store, key_seed=f"{seed}/keys/{trial}")
+            decoded = wire.retrieve(store, key_seed=f"{seed}/keys/{trial}").decoded
         except ValueError as exc:
+            if proved:
+                raise RuntimeError(f"trial {trial} of a plan proved decodable failed: {exc}") from exc
             failures.append({"trial": trial, "error": str(exc)})
             continue
-        want = store.messages[expected_index]
-        if transcript.decoded != want:
-            mism = [i + 1 for i, (a, b) in enumerate(zip(transcript.decoded, want)) if a != b]
-            failures.append({"trial": trial, "mismatch_positions": mism[:8]})
+        if not proved:
+            raise RuntimeError(f"trial {trial} decoded a plan refuted as {certificate}")
+        want = store.messages[plan.desired - 1]
+        if decoded != want:
+            wrong = [i + 1 for i, (a, b) in enumerate(zip(decoded, want)) if a != b]
+            raise RuntimeError(
+                f"trial {trial} of a plan proved decodable got symbols {wrong[:8]} wrong")
     return {
         "audit": "decodability",
-        "status": "PASS" if not failures else "FAIL",
-        "trials": trials,
-        "passed": trials - len(failures),
-        "failures": failures[:5],
+        "status": "PASS" if proved else "FAIL",
+        "certificate": certificate,
+        "trials": runs,
+        "passed": runs - len(failures),
+        "failures": failures,
     }

@@ -2,7 +2,10 @@
 
 Everything here is typed from first principles (closed-form expressions,
 own modular arithmetic, own rank computation) so it shares no code with
-the package under test beyond reading plan structures.
+the package under test beyond reading plan structures.  The one exception
+is ``decodability_by_trials``, the sampled reference for the decodability
+proof: it runs the package's own retrievals and judges only their
+outcomes.
 """
 
 from __future__ import annotations
@@ -397,3 +400,35 @@ def leakage_is_message_independent(plan) -> tuple[bool, int]:
                 return False, checked
         checked += 1
     return True, checked
+
+
+# ---------------------------------------------------------------------------
+# Decodability by sampling (the reference for the proof)
+# ---------------------------------------------------------------------------
+
+def decodability_by_trials(plan, trials: int, seed) -> dict:
+    """Judge decodability by ``trials`` seeded end-to-end retrievals, as
+    ``audit_decodability`` did before it proved its verdict: PASS when
+    every trial decodes the desired message exactly.  Failures carry the
+    trial index and the decode error or the first mismatching symbol
+    positions."""
+    from wtcpir.protocol import random_store, run_retrieval
+
+    failures = []
+    for trial in range(trials):
+        store = random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
+        try:
+            decoded = run_retrieval(plan, store, key_seed=f"{seed}/keys/{trial}").decoded
+        except ValueError as exc:
+            failures.append({"trial": trial, "error": str(exc)})
+            continue
+        want = store.messages[plan.desired - 1]
+        if decoded != want:
+            mism = [i + 1 for i, (a, b) in enumerate(zip(decoded, want)) if a != b]
+            failures.append({"trial": trial, "mismatch_positions": mism[:8]})
+    return {
+        "status": "PASS" if not failures else "FAIL",
+        "trials": trials,
+        "passed": trials - len(failures),
+        "failures": failures[:5],
+    }

@@ -124,8 +124,13 @@ def test_plan_simulate_audit_pipeline(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["status"] == "PASS"
+    assert (rep["decodability"]["certificate"], rep["decodability"]["trials"]) == ("linear", 10)
     assert {rep[k]["status"] for k in ("privacy", "security", "decodability", "structure")} == {"PASS"}
     assert rep["structure"]["violations"] == []
+    # by default the proof is cross-checked by 32 trials
+    code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path))
+    decod = json.loads(out)["decodability"]
+    assert code == 0 and (decod["certificate"], decod["trials"]) == ("linear", 32)
 
 
 def test_audit_tampered_plan_exits_one(tmp_path, capsys):
@@ -221,6 +226,15 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc.update(databases={}), "databases must be an array, got {}"),
         (lambda doc: doc["meta"].update(n="122"), "n must be an array, got '122'"),
         (lambda doc: doc["meta"].update(mu="00"), "mu must be an array, got '00'"),
+        # a malformed term, query or database is named by where it sits
+        (lambda doc: doc["databases"][0]["queries"][2].update(terms=[[1]]),
+         "db 1 query 3: a term must be [message, slot], got [1]"),
+        (lambda doc: doc["databases"][0]["queries"][2].update(terms=[[1, 2, 3]]),
+         "db 1 query 3: a term must be [message, slot], got [1, 2, 3]"),
+        (lambda doc: doc["databases"][0]["queries"].__setitem__(2, [[1, 2]]),
+         "db 1 query 3: a query must be an object, not list"),
+        (lambda doc: doc["databases"].__setitem__(1, doc["databases"][1]["queries"]),
+         "db 2: a database must be an object, not list"),
     ]
     for edit, message in cases:
         doc = json.loads(honest)
@@ -480,14 +494,14 @@ GOLDEN_INVOCATIONS = {
 }
 
 GOLDEN_DIGESTS = {
-    "audit-broken-symmetry-json": "aea460dd28ab0b80",
-    "audit-broken-symmetry-table": "1b11246df59dcdfe",
-    "audit-honest-json": "4b20b29ba30f7ea7",
-    "audit-honest-table": "865c9a4144a497ca",
-    "audit-rewired-json": "43361cd4eb7fd9c7",
-    "audit-rewired-table": "e6ff49446b7474d9",
-    "audit-shorter-key-json": "b3547a2a058a1a97",
-    "audit-shorter-key-table": "3f5b3d507eeb92a1",
+    "audit-broken-symmetry-json": "38bda3becabfe058",
+    "audit-broken-symmetry-table": "3ae34040751ff7d7",
+    "audit-honest-json": "56631071a0f96b58",
+    "audit-honest-table": "3bbba3bc1b49c09b",
+    "audit-rewired-json": "1972dea1d26ca92f",
+    "audit-rewired-table": "4b856add5e55d6d5",
+    "audit-shorter-key-json": "ed207dc1942c5fdf",
+    "audit-shorter-key-table": "0c5f461467b44f6c",
     "capacity-54-csv": "87031e07b11a2c5c",
     "capacity-54-json": "b9cdbfc4a82c81a4",
     "capacity-54-table": "8b680b8094e246f8",

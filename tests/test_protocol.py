@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -13,6 +14,7 @@ import pytest
 from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json, plan_violations
 from wtcpir.protocol import (
     MessageStore,
+    _Wire,
     audit_decodability,
     audit_privacy,
     audit_security,
@@ -20,10 +22,10 @@ from wtcpir.protocol import (
     random_store,
     run_retrieval,
 )
-from wtcpir.schemes import EavesdropProfile, best_scheme
+from wtcpir.schemes import EavesdropProfile, best_scheme, enumerate_sequences
 
 import faults
-from oracles import rank_gf, vandermonde
+from oracles import decodability_by_trials, rank_gf, vandermonde
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 
@@ -363,9 +365,65 @@ def _decodability_variants():
 def test_decodability_reports_match_golden_digest():
     reports = [audit_decodability(plan, trials=25, seed=s)
                for s, plan in enumerate(_decodability_variants())]
+    assert [r["certificate"] for r in reports] == ["linear"] * 5 + ["side-information"] * 3 + [
+        "non-integral", "singular", "side-information"]
     assert [r["status"] for r in reports] == ["PASS"] * 5 + ["FAIL"] * 6
+    assert [r["trials"] for r in reports] == [25] * 5 + [1] * 6
     blob = json.dumps(reports, sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "9fc0285a5860c812"
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "569010d8d590cd1e"
+
+
+def _decodability_battery():
+    """Every monotone sequence at (3,2), (4,2), (4,3) and (3,3), for
+    desired 1 and M, each with its shorter-key and rewired variants where
+    the plan has them, plus ``_decodability_variants``."""
+    mus = {2: ("1/4", "1/2"), 3: ("0", "1/4", "1/2")}
+    plans = []
+    for M, N in ((3, 2), (4, 2), (4, 3), (3, 3)):
+        profile = EavesdropProfile(list(mus[N]))
+        for g in enumerate_sequences(M, N):
+            for desired in (1, M):
+                plan = build_plan(M, N, g, profile, desired=desired, seed=5)
+                plans.append(plan)
+                keyed = [d for d, queries in enumerate(plan.databases, start=1)
+                         if {qr.is_pure_noise for qr in queries} == {True, False}]
+                if keyed:
+                    plans.append(faults.shorter_key(plan, database=keyed[0]))
+                try:
+                    plans.append(faults.rewired_side_information(plan))
+                except AssertionError:  # no desired-bearing sum of round 3 or more
+                    pass
+    return plans + _decodability_variants()
+
+
+def test_decodability_proof_matches_trials():
+    plans = _decodability_battery()
+    verdicts = []
+    for s, plan in enumerate(plans):
+        report = audit_decodability(plan, trials=2, seed=s)
+        assert report["status"] == decodability_by_trials(plan, 2, s)["status"], s
+        verdicts.append(report["certificate"])
+    assert len(plans) == 191
+    assert Counter(verdicts) == {"linear": 137, "side-information": 52,
+                                 "non-integral": 1, "singular": 1}
+
+
+def test_decodability_trial_that_contradicts_the_proof_raises(monkeypatch):
+    plan = worked_plan()
+    decode_exactly = _Wire.decode
+
+    def flip_first(self, answers):
+        out = decode_exactly(self, answers)
+        return ((out[0] + 1) % self.plan.q,) + out[1:]
+
+    monkeypatch.setattr(_Wire, "decode", flip_first)
+    with pytest.raises(RuntimeError, match="^trial 0 of a plan proved decodable got symbols"):
+        audit_decodability(plan, trials=3)
+    monkeypatch.undo()
+    # a refuted plan whose one trial decodes contradicts the proof as well
+    monkeypatch.setattr(_Wire, "certificate", lambda self: "singular")
+    with pytest.raises(RuntimeError, match="^trial 0 decoded a plan refuted as singular$"):
+        audit_decodability(plan, trials=3)
 
 
 def test_decode_errors_keep_their_precedence():
@@ -382,3 +440,11 @@ def test_decode_errors_keep_their_precedence():
         run_retrieval(both, store, key_seed=1)
     with pytest.raises(ValueError, match="^db 2: 17 answers for 18 queries$"):
         decode(both, ((0,) * 16, (0,) * 17))
+    # the decodability certificate names the condition the retrieval raises
+    short = dataclasses.replace(both, databases=(both.databases[0][:-1],) + both.databases[1:])
+    for plan, certificate in ((bad, "side-information"), (both, "singular"), (short, "non-integral")):
+        report = audit_decodability(plan, trials=5, seed=1)
+        assert (report["status"], report["certificate"], report["trials"]) == ("FAIL", certificate, 1)
+        with pytest.raises(ValueError) as exc:
+            run_retrieval(plan, store, key_seed=1)
+        assert report["failures"] == [{"trial": 0, "error": str(exc.value)}]
