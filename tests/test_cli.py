@@ -99,6 +99,22 @@ def test_wrong_mu_count_is_usage_error(capsys):
     assert code == 2 and "expected N=2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capacity", "-M", "3", "-N", "2", "--mu", "1,1/2", "--sort-mu"],
+         "eavesdropping ratio 1 outside [0, 1)"),
+        (["sweep", "-M", "3", "-N", "2", "--step", "0"], "need step > 0 and 0 <= mu-max < 1"),
+        (["sweep", "-M", "3", "-N", "2", "--step", "x"], "not an exact rational: 'x'"),
+        (["sweep", "-M", "3", "-N", "2", "--mu-max", "1"], "need step > 0 and 0 <= mu-max < 1"),
+        (["scheme", "-M", "3", "-N", "2", "--mu", "1/4,1/2", "--n", "1,x"],
+         "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_bad_argument_values_are_usage_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_plan_simulate_audit_pipeline(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     code, out, _ = run_cli(
