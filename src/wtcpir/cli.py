@@ -57,10 +57,6 @@ from .schemes import (
 )
 
 
-class UsageError(ValueError):
-    """Bad command-line input (exit code 2)."""
-
-
 def frac_decimal(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal rendering via integer arithmetic (no float)."""
     scale = 10 ** places
@@ -77,30 +73,20 @@ def frac_decimal(x: Fraction, places: int = 6) -> str:
 def _parse_mu(text: str, N: int, sort: bool) -> EavesdropProfile:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != N:
-        raise UsageError(f"--mu lists {len(parts)} ratios, expected N={N}")
-    try:
-        values = [parse_rational(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--mu lists {len(parts)} ratios, expected N={N}")
+    values = [parse_rational(p) for p in parts]
     if sort:
         values = sorted(values)
     elif values != sorted(values):
-        raise UsageError(
+        raise ValueError(
             "--mu must be ascending (databases are indexed by increasing "
             "eavesdropping ratio); pass --sort-mu to reorder automatically"
         )
-    try:
-        return EavesdropProfile(values)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    return EavesdropProfile(values)
 
 
 def _parse_n(text: str, M: int, N: int):
-    try:
-        vec = tuple(int(p) for p in text.split(","))
-        return derive_groups(M, N, vec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return derive_groups(M, N, tuple(int(p) for p in text.split(",")))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -117,7 +103,7 @@ def _render_table(report: dict, prefix: str = "") -> str:
         if isinstance(value, dict):
             lines.append(_render_table(value, prefix=f"{name}."))
         else:
-            lines.append(f"{name} = {json.dumps(value)}")
+            lines.append(f"{name} = {json.dumps(value, default=_fraction_str)}")
     return "\n".join(lines)
 
 
@@ -125,7 +111,15 @@ def _dump(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "table":
         _emit(_render_table(report) + "\n", out)
     else:
-        _emit(json.dumps(report, indent=2) + "\n", out)
+        _emit(json.dumps(report, indent=2, default=_fraction_str) + "\n", out)
+
+
+def _fraction_str(value) -> str:
+    """``json.dumps`` hook: the exact ``Fraction``s of ``plan_stats`` as
+    strings; any other type is not JSON."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _exact(x: Fraction) -> dict:
@@ -136,7 +130,7 @@ def _active_index(M: int, N: int, g) -> int:
     for idx, cand in enumerate(enumerate_sequences(M, N)):
         if cand.n == g.n:
             return idx
-    raise UsageError(f"sequence {g.n} is not a monotone scheme index")
+    raise ValueError(f"sequence {g.n} is not a monotone scheme index")
 
 
 def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:
@@ -211,10 +205,7 @@ def cmd_plan(args) -> int:
         g = _parse_n(args.n, args.M, args.N)
     else:
         g, _ = best_scheme(args.M, args.N, mu)
-    try:
-        plan = build_plan(args.M, args.N, g, mu, desired=args.desired, seed=args.seed, q=args.field_q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = build_plan(args.M, args.N, g, mu, desired=args.desired, seed=args.seed, q=args.field_q)
     doc = plan_to_json(plan)
     table = plan_to_table(plan)
     if args.out:
@@ -234,18 +225,18 @@ def _load_plan(path: str):
     try:
         return plan_from_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise UsageError(f"plan file not found: {path}") from exc
-    except (OSError, RecursionError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"plan file not found: {path}") from exc
+    except (OSError, RecursionError, ValueError) as exc:
         # OSError: a directory or an unreadable file; RecursionError: too
         # deeply nested JSON
-        raise UsageError(f"cannot load plan: {exc}") from exc
+        raise ValueError(f"cannot load plan: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
     plan = _load_plan(args.plan)
     store = random_store(plan.M, plan.dims.L, plan.q, args.seed)
     head = {"desired": plan.desired, "seed": args.seed}
-    stats = _jsonable(plan_stats(plan))
+    stats = plan_stats(plan)
     try:
         transcript = run_retrieval(plan, store, key_seed=args.seed)
     except ValueError as exc:
@@ -275,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     plan = _load_plan(args.plan)
     violations = plan_violations(plan)
     audits = {
@@ -292,28 +283,15 @@ def cmd_audit(args) -> int:
         },
     }
     status = "PASS" if all(r["status"] == "PASS" for r in audits.values()) else "FAIL"
-    _dump(_jsonable({"status": status, **audits}), args.format, args.out)
+    _dump({"status": status, **audits}, args.format, args.out)
     return 0 if status == "PASS" else 1
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
-
-
 def cmd_sweep(args) -> int:
-    try:
-        step = parse_rational(args.step)
-        mu_max = parse_rational(args.mu_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    step = parse_rational(args.step)
+    mu_max = parse_rational(args.mu_max)
     if step <= 0 or mu_max < 0 or mu_max >= 1:
-        raise UsageError("need step > 0 and 0 <= mu-max < 1")
+        raise ValueError("need step > 0 and 0 <= mu-max < 1")
     grid = []
     v = Fraction(0)
     while v <= mu_max:
@@ -415,7 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .fieldmath import check_evaluation_points, is_prime, smallest_prime_at_least
+from .fieldmath import check_evaluation_points, is_prime, parse_rational, smallest_prime_at_least
 from .schemes import (
     EavesdropProfile,
     GroupSequence,
@@ -38,6 +39,12 @@ from .schemes import (
 #: Sentinel terms value for a pure-noise download (a query with no message
 #: content; its answer is a bare artificial-noise symbol).
 PURE_NOISE: tuple = ()
+
+#: Cap on a plan's total download sum(t_d).  Each desired symbol is
+#: downloaded once, so it caps L too.  A plan's meta alone sets both, and
+#: building or loading it makes lists of those lengths (wire orders,
+#: permutations), so a plan over the cap is refused before any is made.
+_DOWNLOAD_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,7 @@ class QueryPlan:
         object.__setattr__(self, "M", g.M)
         object.__setattr__(self, "N", g.N)
         object.__setattr__(self, "dims", dims)
+        _check_download_budget(dims)
         object.__setattr__(self, "permutations", _permutations_for(self.seed, g.M, dims.L))
         if len(self.databases) != self.N:
             raise ValueError(f"{len(self.databases)} databases listed, expected N={self.N}")
@@ -166,6 +174,15 @@ class QueryPlan:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+def _check_download_budget(dims: PlanDimensions) -> None:
+    total = sum(dims.t)
+    if total > _DOWNLOAD_BUDGET:
+        raise ValueError(
+            f"plan too large: it downloads {total} symbols (L={dims.L}), over the "
+            f"budget of {_DOWNLOAD_BUDGET}"
+        )
+
 
 def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
     perms = []
@@ -233,6 +250,7 @@ def build_plan(
         raise ValueError(f"desired message {desired} out of range 1..{M}")
 
     dims = repetition_factor(g, mu)
+    _check_download_budget(dims)
     y01 = stage_counts(g).of(0, 1)
     t_max = max(dims.t)
     if q is None:
@@ -572,74 +590,71 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     Raises
     ------
     ValueError
-        If the document is not a JSON object, its version is not 1, or the
-        plan breaks one of the ``QueryPlan`` rules (database count,
-        desired message, field size, noise slot, term message, term
-        symbol slot).
-    KeyError, TypeError
-        If a field is missing or holds the wrong JSON type; every count,
-        index and seed must be a JSON integer (not a float or a boolean),
-        ``databases``, ``queries``, ``terms``, ``n`` and ``mu`` JSON
-        arrays, each database and query a JSON object and each term an
-        array of two integers [message, slot].  A fault inside a database
-        names it ("db d: ..."), and one inside a query names both
-        ("db d query i: ...").
+        For every fault, and only ``ValueError``: the text is not JSON,
+        the document is not a JSON object or its version is not 1, a field
+        is missing or holds the wrong JSON type, or the plan breaks one of
+        the ``QueryPlan`` rules (size, database count, desired message,
+        field size, noise slot, term message, term symbol slot).  Every
+        count, index and seed must be a JSON integer (not a float or a
+        boolean), ``mu`` an array of strings (exact rationals) or integers,
+        ``databases``, ``queries``, ``terms`` and ``n`` JSON arrays, the
+        document, ``meta``, each database and each query a JSON object and
+        each term an array of two integers [message, slot].  The message
+        names where the fault sits: ``meta: missing field 'seed'``,
+        ``db 2: queries must be an array, got {}`` or ``db 1 query 3: a
+        term must be [message, slot], got [1]``.
     """
-    doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ValueError(f"plan document must be a JSON object, not {type(doc).__name__}")
+    doc = _checked(json.loads(text) if isinstance(text, str) else text, dict, "plan document")
     version = doc.get("version")
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")
-    meta = doc["meta"]
-    return QueryPlan(
-        q=_integer(meta["q"], "q"),
-        mu=EavesdropProfile(_array(meta["mu"], "mu")),
-        group_sequence=derive_groups(
-            _integer(meta["M"], "M"), _integer(meta["N"], "N"),
-            tuple(_integer(v, "n") for v in _array(meta["n"], "n")),
-        ),
-        desired=_integer(meta["desired"], "desired"),
-        seed=_integer(meta["seed"], "seed"),
-        databases=tuple(
-            _database_from_json(db, d)
-            for d, db in enumerate(_array(doc["databases"], "databases"), start=1)
-        ),
-    )
+    meta = _field(doc, "meta", dict, "plan document")
+    q, M, N, desired, seed = (_field(meta, key, int, "meta") for key in ("q", "M", "N", "desired", "seed"))
+    n = [_checked(v, int, "meta", f"n entry {i}")
+         for i, v in enumerate(_field(meta, "n", list, "meta"), start=1)]
+    mu = []
+    for i, v in enumerate(_field(meta, "mu", list, "meta"), start=1):
+        if type(v) is str:
+            v = parse_rational(v)
+        elif type(v) is not int:
+            raise ValueError(f"meta: mu entry {i} must be a string or an integer, got {reprlib.repr(v)}")
+        mu.append(v)
+    group_sequence, profile = derive_groups(M, N, n), EavesdropProfile(mu)
+    databases = []
+    for d, db in enumerate(_field(doc, "databases", list, "plan document"), start=1):
+        queries = []
+        entries = _field(_checked(db, dict, f"db {d}"), "queries", list, f"db {d}")
+        for i, entry in enumerate(entries, start=1):
+            where = f"db {d} query {i}"
+            terms = _field(_checked(entry, dict, where), "terms", list, where)
+            for term in terms:
+                if type(term) is not list or len(term) != 2 or type(term[0]) is not int \
+                        or type(term[1]) is not int:
+                    raise ValueError(f"{where}: a term must be [message, slot], got {reprlib.repr(term)}")
+            queries.append(Query(terms=tuple(map(tuple, terms)),
+                                 noise_slot=_field(entry, "noise_slot", int, where)))
+        databases.append(tuple(queries))
+    return QueryPlan(q=q, group_sequence=group_sequence, mu=profile, desired=desired, seed=seed,
+                     databases=tuple(databases))
 
 
-def _database_from_json(db, d: int) -> tuple[Query, ...]:
-    entries = _array(_object(db, f"db {d}", "a database")["queries"], f"db {d}: queries")
-    return tuple(_query_from_json(entry, f"db {d} query {i}")
-                 for i, entry in enumerate(entries, start=1))
+_JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}
 
 
-def _query_from_json(entry, where: str) -> Query:
-    terms = _array(_object(entry, where, "a query")["terms"], f"{where}: terms")
-    for term in terms:
-        if type(term) is not list or len(term) != 2 or type(term[0]) is not int \
-                or type(term[1]) is not int:
-            raise TypeError(f"{where}: a term must be [message, slot], got {term!r}")
-    return Query(terms=tuple(map(tuple, terms)),
-                 noise_slot=_integer(entry["noise_slot"], f"{where}: noise_slot"))
+def _field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]``, refused with a ``ValueError`` naming ``where`` unless
+    it is present and of the JSON type ``kind`` (``int``, ``list`` or
+    ``dict``)."""
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return _checked(obj[key], kind, where, key)
 
 
-def _integer(value, name: str) -> int:
-    # bool is an int subclass, so JSON true would otherwise load as 1
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _object(value, where: str, name: str) -> dict:
-    # an array would otherwise fail on its first field lookup
-    if type(value) is not dict:
-        raise TypeError(f"{where}: {name} must be an object, not {type(value).__name__}")
-    return value
-
-
-def _array(value, name: str) -> list:
-    # an object or string would otherwise iterate as keys or characters
-    if type(value) is not list:
-        raise TypeError(f"{name} must be an array, got {value!r}")
+def _checked(value, kind: type, where: str, key: str | None = None):
+    # exact types: bool is an int subclass, so JSON true would otherwise
+    # load as 1, and an object or string where an array belongs would
+    # iterate as keys or characters
+    if type(value) is not kind:
+        name = f"{where}: {key}" if key else where
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
     return value

@@ -1,12 +1,17 @@
-"""Fault-injected plan variants for negative audit tests.
+"""Fault-injected plan variants for negative audit tests, and malformed
+plan documents for load tests.
 
 Each builder returns a structurally plausible but broken plan; the
-corresponding audit must FAIL on it.
+corresponding audit must FAIL on it.  ``malformed_documents`` edits a
+plan document field by field; loading must refuse most edits.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from functools import reduce
+from operator import getitem
 
 from wtcpir import Query, QueryPlan, build_plan
 
@@ -72,3 +77,49 @@ def rewired_side_information(plan: QueryPlan) -> QueryPlan:
                         qs[i] = Query(terms=terms, noise_slot=qr.noise_slot)
                         return _replace_db(plan, d, qs)
     raise AssertionError("no multi-term desired sum to rewire")
+
+
+#: Stands for a deleted field in ``malformed_documents``.
+MISSING = object()
+
+#: The document fields that ``malformed_documents`` edits, by path; the
+#: indexed ones are database 1, its query 1 and that query's term 1.
+FIELDS = {
+    "meta": ("meta",),
+    **{f"meta.{key}": ("meta", key) for key in ("q", "M", "N", "n", "mu", "desired", "seed")},
+    "databases": ("databases",),
+    "queries": ("databases", 0, "queries"),
+    "terms": ("databases", 0, "queries", 0, "terms"),
+    "noise_slot": ("databases", 0, "queries", 0, "noise_slot"),
+    "term": ("databases", 0, "queries", 0, "terms", 0),
+}
+
+
+def malformed_documents(doc: dict):
+    """Yield ``(field, value, edited)`` for every field of ``FIELDS`` and
+    every value of a wrong JSON type, or ``MISSING``: ``edited`` is a copy
+    of ``doc`` with that field set to the value or deleted.  A term is an
+    array entry, not a field, so it is never deleted.  Two edits leave a
+    well-formed document: ``"queries": []`` (an idle database) and
+    ``"terms": []`` (a pure-noise download)."""
+    for name, path in FIELDS.items():
+        for value in (MISSING, None, True, 1.5, "x", [], {}):
+            if value is MISSING and name == "term":
+                continue
+            edited = copy.deepcopy(doc)
+            parent = reduce(getitem, path[:-1], edited)
+            if value is MISSING:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield name, value, edited
+
+
+#: (mu, total download, L) of the worked sequence (1, 2, 2) at profiles
+#: whose meta alone demands millions of symbols or more: a margin with a
+#: large denominator, or a key near the whole answer.
+OVERSIZED = [
+    (["0", "1/1000003"], 2333339, 1333336),
+    (["0", "1/1000000007"], 7000000045, 4000000024),
+    (["0", "999999999999/1000000000000"], 3000000000004, 4),
+]

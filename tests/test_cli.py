@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import wtcpir
-from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json
+from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json, planner
 from wtcpir.cli import main
 
+import faults
 from faults import broken_symmetry, rewired_side_information, shorter_key
 
 
@@ -230,10 +231,10 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc["meta"].update(q=2), "field too small: t=16 > q=2"),
         (lambda doc: doc["meta"].update(q=2 ** 64 + 13), "field modulus too large"),
         # malformed documents; an edit that returns a value replaces the document
-        (lambda doc: [], "plan document must be a JSON object, not list"),
-        (lambda doc: "x", "plan document must be a JSON object, not str"),
+        (lambda doc: [], "plan document must be an object, got []"),
+        (lambda doc: "x", "plan document must be an object, got 'x'"),
         (lambda doc: doc.update(databases=None), "databases must be an array, got None"),
-        (lambda doc: doc.update(meta=[]), "list indices must be integers"),
+        (lambda doc: doc.update(meta=[]), "plan document: meta must be an object, got []"),
         # an object or string where an array belongs would iterate silently
         (lambda doc: _set_first_query(doc, terms={}), "terms must be an array, got {}"),
         (lambda doc: _set_first_query(doc, terms=""), "terms must be an array, got ''"),
@@ -242,15 +243,23 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc.update(databases={}), "databases must be an array, got {}"),
         (lambda doc: doc["meta"].update(n="122"), "n must be an array, got '122'"),
         (lambda doc: doc["meta"].update(mu="00"), "mu must be an array, got '00'"),
+        (lambda doc: doc["meta"].update(mu=["1/0", "1/2"]), "not an exact rational: '1/0'"),
+        (lambda doc: doc["meta"].update(mu=[None, "1/2"]),
+         "meta: mu entry 1 must be a string or an integer, got None"),
+        # a missing field is named with where it sits
+        (lambda doc: doc["databases"][0]["queries"][2].__delitem__("terms"),
+         "db 1 query 3: missing field 'terms'"),
+        (lambda doc: doc["meta"].__delitem__("seed"), "meta: missing field 'seed'"),
+        (lambda doc: doc["databases"][1].__delitem__("queries"), "db 2: missing field 'queries'"),
         # a malformed term, query or database is named by where it sits
         (lambda doc: doc["databases"][0]["queries"][2].update(terms=[[1]]),
          "db 1 query 3: a term must be [message, slot], got [1]"),
         (lambda doc: doc["databases"][0]["queries"][2].update(terms=[[1, 2, 3]]),
          "db 1 query 3: a term must be [message, slot], got [1, 2, 3]"),
         (lambda doc: doc["databases"][0]["queries"].__setitem__(2, [[1, 2]]),
-         "db 1 query 3: a query must be an object, not list"),
+         "db 1 query 3 must be an object, got [[1, 2]]"),
         (lambda doc: doc["databases"].__setitem__(1, doc["databases"][1]["queries"]),
-         "db 2: a database must be an object, not list"),
+         "db 2 must be an object, got [{'noise_slot': 1, 'terms': []}, {'noise_slot': 2, "),
     ]
     for edit, message in cases:
         doc = json.loads(honest)
@@ -259,6 +268,40 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
         assert code == 2 and out == "", message
         assert err.startswith("error: cannot load plan: ") and message in err, err
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, command):
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", *WORKED, "--seed", "7", "--out", str(plan_path))
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    for name, value, edited in faults.malformed_documents(doc):
+        if value == [] and name in ("queries", "terms"):
+            continue  # well-formed: an idle database, a pure-noise download
+        plan_path.write_text(json.dumps(edited), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
+        assert (code, out) == (2, "") and err.startswith("error: cannot load plan: "), (name, value, err)
+
+
+def test_oversized_plans_are_usage_errors_at_once(tmp_path, capsys, monkeypatch):
+    plan_path = tmp_path / "plan.json"
+    run_cli(capsys, "plan", *WORKED, "--seed", "7", "--out", str(plan_path))
+    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+
+    def refuse(*args):
+        raise AssertionError("built a list of the plan's full size")
+
+    for name in ("_permutations_for", "_wire_order", "smallest_prime_at_least"):
+        monkeypatch.setattr(planner, name, refuse)
+    for mu, total, L in faults.OVERSIZED:
+        message = f"plan too large: it downloads {total} symbols (L={L}), over the budget of 1048576\n"
+        doc["meta"]["mu"] = mu
+        plan_path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("simulate", "audit"):
+            code, out, err = run_cli(capsys, command, "--plan", str(plan_path))
+            assert (code, out, err) == (2, "", "error: cannot load plan: " + message)
+        argv = ["plan", "-M", "3", "-N", "2", "--mu", ",".join(mu), "--n", "1,2,2"]
+        assert run_cli(capsys, *argv) == (2, "", "error: " + message)
 
 
 def test_huge_prime_field_loads_and_runs(tmp_path, capsys):
