@@ -645,9 +645,12 @@ def _field(obj: dict, key: str, kind: type, where: str):
     """``obj[key]``, refused with a ``ValueError`` naming ``where`` unless
     it is present and of the JSON type ``kind`` (``int``, ``list`` or
     ``dict``)."""
-    if key not in obj:
-        raise ValueError(f"{where}: missing field {key!r}")
-    return _checked(obj[key], kind, where, key)
+    value = obj.get(key)
+    if type(value) is not kind:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+        _checked(value, kind, where, key)
+    return value
 
 
 def _checked(value, kind: type, where: str, key: str | None = None):
