@@ -9,8 +9,10 @@ simulate   execute a plan end to end and report the decode verdict
 audit      run privacy, security, decodability, and structure audits on a plan
 sweep      grid of profiles -> CSV of upper/lower bounds and gaps
 
-Exit codes: 0 success / all audits pass, 1 audit or decode failure,
-2 usage error.  Output is byte-identical for identical inputs and seeds.
+Exit codes: 0 success / all audits pass, 1 an audit or decode FAIL, 2 a
+usage error: any ``ValueError`` a subcommand raises, printed by ``main``
+as ``error: ...`` (a bad argument, or a plan file that cannot be
+loaded).  Output is byte-identical for identical inputs and seeds.
 The security and decodability verdicts of ``audit`` are exact
 certificates (see ``protocol.audit_security`` and
 ``protocol.audit_decodability``), never samples of observation sets or
@@ -119,7 +121,7 @@ def _fraction_str(value) -> str:
     strings; any other type is not JSON."""
     if isinstance(value, Fraction):
         return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _exact(x: Fraction) -> dict:

@@ -40,10 +40,9 @@ from .schemes import (
 #: content; its answer is a bare artificial-noise symbol).
 PURE_NOISE: tuple = ()
 
-#: Cap on a plan's total download sum(t_d).  Each desired symbol is
-#: downloaded once, so it caps L too.  A plan's meta alone sets both, and
-#: building or loading it makes lists of those lengths (wire orders,
-#: permutations), so a plan over the cap is refused before any is made.
+#: Cap on a plan's total download sum(t_d), and so on L.  A plan's meta
+#: alone sets both, and building or loading the plan makes lists of those
+#: lengths, so a plan over the cap is refused before any is made.
 _DOWNLOAD_BUDGET = 1 << 20
 
 
@@ -110,12 +109,14 @@ class QueryPlan:
     lists each desired-bearing query in wire order as (database, flat
     wire position, desired slot, side terms).
 
-    Every plan, built or loaded, is checked on construction: it lists N
-    databases, ``desired`` lies in 1..M, GF(q) is a prime field with
-    t_d <= q for every database d (distinct noise evaluation points),
-    every noise slot of database d lies in 1..t_d, and every term names a
-    message in 1..M and a symbol slot in 1..L.  A violation raises
-    ``ValueError``, naming the database and query where there is one.
+    Every plan, built or loaded, is checked on construction: its total
+    download sum(t_d) is at most ``_DOWNLOAD_BUDGET`` (2^20, checked
+    before the permutations are made), it lists N databases, ``desired``
+    lies in 1..M, GF(q) is a prime field with t_d <= q for every database
+    d (distinct noise evaluation points), every noise slot of database d
+    lies in 1..t_d, and every term names a message in 1..M and a symbol
+    slot in 1..L.  A violation raises ``ValueError``, naming the database
+    and query where there is one.
     """
 
     q: int
@@ -176,12 +177,9 @@ class QueryPlan:
 # ---------------------------------------------------------------------------
 
 def _check_download_budget(dims: PlanDimensions) -> None:
-    total = sum(dims.t)
-    if total > _DOWNLOAD_BUDGET:
-        raise ValueError(
-            f"plan too large: it downloads {total} symbols (L={dims.L}), over the "
-            f"budget of {_DOWNLOAD_BUDGET}"
-        )
+    if sum(dims.t) > _DOWNLOAD_BUDGET:
+        raise ValueError(f"plan too large: it downloads {sum(dims.t)} symbols (L={dims.L}), "
+                         f"over the budget of {_DOWNLOAD_BUDGET}")
 
 
 def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
@@ -234,7 +232,8 @@ def build_plan(
     ------
     ValueError
         For invalid inputs, including a field too small for the noise
-        code ("field too small").
+        code ("field too small") and a plan of more than
+        ``_DOWNLOAD_BUDGET`` downloads ("plan too large").
     RuntimeError
         If the built plan breaks an invariant of ``plan_violations``.  The
         stage-count recurrence sizes every stage the construction needs,
@@ -590,26 +589,23 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     Raises
     ------
     ValueError
-        For every fault, and only ``ValueError``: the text is not JSON,
-        the document is not a JSON object or its version is not 1, a field
-        is missing or holds the wrong JSON type, or the plan breaks one of
-        the ``QueryPlan`` rules (size, database count, desired message,
-        field size, noise slot, term message, term symbol slot).  Every
-        count, index and seed must be a JSON integer (not a float or a
-        boolean), ``mu`` an array of strings (exact rationals) or integers,
-        ``databases``, ``queries``, ``terms`` and ``n`` JSON arrays, the
-        document, ``meta``, each database and each query a JSON object and
-        each term an array of two integers [message, slot].  The message
-        names where the fault sits: ``meta: missing field 'seed'``,
-        ``db 2: queries must be an array, got {}`` or ``db 1 query 3: a
-        term must be [message, slot], got [1]``.
+        For every fault, naming where it sits (``meta: missing field
+        'seed'``, ``db 1 query 3: a term must be [message, slot], got
+        [1]``): text that is not JSON, a version other than 1, a missing
+        field or one of the wrong JSON type, or a plan that breaks a
+        ``QueryPlan`` rule.  Counts, indices and seeds are JSON integers
+        (not floats or booleans), ``mu`` entries strings holding exact
+        rationals or integers, ``n``, ``mu``, ``databases``, ``queries``
+        and ``terms`` arrays, the document, ``meta``, each database and
+        each query objects, and each term [message, slot].
     """
     doc = _checked(json.loads(text) if isinstance(text, str) else text, dict, "plan document")
     version = doc.get("version")
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")
     meta = _field(doc, "meta", dict, "plan document")
-    q, M, N, desired, seed = (_field(meta, key, int, "meta") for key in ("q", "M", "N", "desired", "seed"))
+    q, M, N, desired, seed = (_field(meta, key, int, "meta")
+                              for key in ("q", "M", "N", "desired", "seed"))
     n = [_checked(v, int, "meta", f"n entry {i}")
          for i, v in enumerate(_field(meta, "n", list, "meta"), start=1)]
     mu = []

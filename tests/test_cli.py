@@ -246,6 +246,10 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc["meta"].update(mu=["1/0", "1/2"]), "not an exact rational: '1/0'"),
         (lambda doc: doc["meta"].update(mu=[None, "1/2"]),
          "meta: mu entry 1 must be a string or an integer, got None"),
+        (lambda doc: doc["meta"].update(mu=["1/4", 0.5]),
+         "meta: mu entry 2 must be a string or an integer, got 0.5"),
+        (lambda doc: doc["meta"].update(mu=["1/4", True]),
+         "meta: mu entry 2 must be a string or an integer, got True"),
         # a missing field is named with where it sits
         (lambda doc: doc["databases"][0]["queries"][2].__delitem__("terms"),
          "db 1 query 3: missing field 'terms'"),
