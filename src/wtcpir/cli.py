@@ -59,9 +59,9 @@ from .schemes import (
 )
 
 
-def frac_decimal(x: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering via integer arithmetic (no float)."""
-    scale = 10 ** places
+def frac_decimal(x: Fraction) -> str:
+    """Six-place fixed-point decimal rendering via integer arithmetic (no float)."""
+    scale = 10 ** 6
     scaled = x * scale
     n, d = scaled.numerator, scaled.denominator
     units, rem = divmod(abs(n), d)
@@ -69,7 +69,7 @@ def frac_decimal(x: Fraction, places: int = 6) -> str:
         units += 1
     sign = "-" if n < 0 else ""
     whole, frac = divmod(units, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def _parse_mu(text: str, N: int, sort: bool) -> EavesdropProfile:
@@ -128,13 +128,6 @@ def _exact(x: Fraction) -> dict:
     return {"exact": str(x), "decimal": frac_decimal(x)}
 
 
-def _active_index(M: int, N: int, g) -> int:
-    for idx, cand in enumerate(enumerate_sequences(M, N)):
-        if cand.n == g.n:
-            return idx
-    raise ValueError(f"sequence {g.n} is not a monotone scheme index")
-
-
 def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:
     ub = upper_bound(M, N, mu)
     g, rate = best_scheme(M, N, mu)
@@ -147,7 +140,7 @@ def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:
         "gap": _exact(ub.value - rate),
         "argmax_tau": [str(v) for v in ub.argmax_tau],
         "best_n": list(g.n),
-        "active_idx": _active_index(M, N, g),
+        "active_idx": list(enumerate_sequences(M, N)).index(g),
     }
 
 
@@ -317,14 +310,13 @@ def cmd_sweep(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool) -> None:
-    if model:
-        p.add_argument("-M", type=int, required=True, help="number of messages")
-        p.add_argument("-N", type=int, required=True, help="number of databases")
-        p.add_argument("--mu", required=True,
-                       help="comma-separated eavesdropping ratios, exact rationals (e.g. 1/4,1/2)")
-        p.add_argument("--sort-mu", action="store_true",
-                       help="sort the ratios ascending instead of rejecting unsorted input")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-M", type=int, required=True, help="number of messages")
+    p.add_argument("-N", type=int, required=True, help="number of databases")
+    p.add_argument("--mu", required=True,
+                   help="comma-separated eavesdropping ratios, exact rationals (e.g. 1/4,1/2)")
+    p.add_argument("--sort-mu", action="store_true",
+                   help="sort the ratios ascending instead of rejecting unsorted input")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -343,22 +335,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="upper bound, best rate, and gap")
-    _add_common(p, model=True)
+    _add_common(p)
     p.add_argument("--format", choices=["json", "table", "csv"], default="json")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("scheme", help="best (or given) scheme dimensioning")
-    _add_common(p, model=True)
+    _add_common(p)
     p.add_argument("--n", help="comma-separated scheme index (defaults to the best one)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_scheme)
 
     p = sub.add_parser("plan", help="build an executable query plan")
-    _add_common(p, model=True)
+    _add_common(p)
     p.add_argument("--n", help="comma-separated scheme index (defaults to the best one)")
     p.add_argument("--desired", type=int, default=1, help="1-based index of the message to retrieve")
     p.add_argument("--seed", type=int, default=0, help="master seed for permutations and shuffles")
-    p.add_argument("--field-q", type=int, help="prime field modulus (default: smallest valid prime)")
+    p.add_argument("--field-q", type=int,
+                   help="prime field modulus, at least the longest answer length "
+                        "(default: the smallest prime above it)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_plan)
 

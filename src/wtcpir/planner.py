@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .fieldmath import check_evaluation_points, is_prime, parse_rational, smallest_prime_at_least
+from .fieldmath import check_evaluation_points, parse_rational, smallest_prime_at_least
 from .schemes import (
     EavesdropProfile,
     GroupSequence,
@@ -212,6 +212,10 @@ def build_plan(
     """Construct the full query plan for one scheme, eavesdrop profile,
     and desired message.
 
+    The builder checks only what building needs: the sequence against M
+    and N, and the download budget, before any list is made.
+    ``QueryPlan`` judges the built plan by the rules a loaded one meets.
+
     Parameters
     ----------
     M, N : int
@@ -225,15 +229,15 @@ def build_plan(
     seed : int
         Master seed for permutations and wire-order shuffles.
     q : int, optional
-        Field modulus; defaults to the smallest prime exceeding the
-        longest answer length.
+        Field modulus: a prime below 2^64 and at least the longest answer
+        length.  Defaults to the smallest prime exceeding that length.
 
     Raises
     ------
     ValueError
-        For invalid inputs, including a field too small for the noise
-        code ("field too small") and a plan of more than
-        ``_DOWNLOAD_BUDGET`` downloads ("plan too large").
+        For a bad sequence or profile, a plan of more than
+        ``_DOWNLOAD_BUDGET`` downloads ("plan too large"), or a broken
+        ``QueryPlan`` rule, such as a field too small ("field too small").
     RuntimeError
         If the built plan breaks an invariant of ``plan_violations``.  The
         stage-count recurrence sizes every stage the construction needs,
@@ -243,24 +247,11 @@ def build_plan(
         g = derive_groups(M, N, tuple(g))
     if g.M != M or g.N != N:
         raise ValueError(f"sequence is for M={g.M}, N={g.N}; got M={M}, N={N}")
-    if mu.N != N:
-        raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    if not 1 <= desired <= M:
-        raise ValueError(f"desired message {desired} out of range 1..{M}")
-
     dims = repetition_factor(g, mu)
     _check_download_budget(dims)
     y01 = stage_counts(g).of(0, 1)
-    t_max = max(dims.t)
     if q is None:
-        q = smallest_prime_at_least(t_max + 1)
-    else:
-        if not is_prime(q):
-            raise ValueError(f"field modulus must be prime, got {q}")
-        if q <= t_max:
-            raise ValueError(
-                f"field too small: q={q} must exceed the longest answer length {t_max}"
-            )
+        q = smallest_prime_at_least(max(dims.t) + 1)
 
     active = g.active_databases
     counters = {m: 0 for m in range(1, M + 1)}
@@ -269,9 +260,11 @@ def build_plan(
         counters[m] += 1
         return (m, counters[m])
 
-    # the only ledger: stages by (rep, database, round), in construction
-    # order; each maps every k-subset of messages to the terms downloaded
+    # stages by (rep, database, round), in construction order; each maps
+    # every k-subset of messages to the terms downloaded
     stage_sets: dict[tuple[int, int, int], list[dict[frozenset[int], tuple]]] = {}
+    # each database's downloads in construction order (an idle one has none)
+    made: dict[int, list[tuple]] = {d: [] for d in range(1, N + 1)}
 
     def stage(d: int, rep: int, k: int, side_of) -> None:
         """One stage: every k-subset is a sum of fresh undesired symbols, or
@@ -285,6 +278,7 @@ def build_plan(
             else:
                 terms_of[su] = tuple(fresh(m) for m in tup)
         stage_sets.setdefault((rep, d, k), []).append(terms_of)
+        made[d].extend(terms_of.values())
 
     for rep in range(1, dims.nu + 1):
         for k in range(1, M + 1):
@@ -320,23 +314,13 @@ def build_plan(
                         for _ in range(g.n[0] * g.xi[group]):
                             stage(d, rep, k, pop)
 
-    databases: list[tuple[Query, ...]] = []
-    for d in range(1, N + 1):
-        # this database's downloads in construction order (an idle one has none)
-        cons = [
-            terms
-            for rep in range(1, dims.nu + 1)
-            for k in range(1, M + 1)
-            for terms_of in stage_sets.get((rep, d, k), [])
-            for terms in terms_of.values()
-        ]
-        databases.append(tuple(
-            Query(terms=cons[ci] if ci < len(cons) else PURE_NOISE, noise_slot=p)
-            for p, ci in enumerate(_wire_order(seed, d, dims.t[d - 1]), start=1)
-        ))
-
+    databases = tuple(
+        tuple(Query(terms=terms[ci] if ci < len(terms) else PURE_NOISE, noise_slot=p)
+              for p, ci in enumerate(_wire_order(seed, d, dims.t[d - 1]), start=1))
+        for d, terms in made.items()
+    )
     plan = QueryPlan(
-        q=q, group_sequence=g, mu=mu, desired=desired, seed=seed, databases=tuple(databases)
+        q=q, group_sequence=g, mu=mu, desired=desired, seed=seed, databases=databases
     )
     problems = plan_violations(plan)
     if problems:
@@ -590,32 +574,42 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     ------
     ValueError
         For every fault, naming where it sits (``meta: missing field
-        'seed'``, ``db 1 query 3: a term must be [message, slot], got
-        [1]``): text that is not JSON, a version other than 1, a missing
-        field or one of the wrong JSON type, or a plan that breaks a
-        ``QueryPlan`` rule.  Counts, indices and seeds are JSON integers
-        (not floats or booleans), ``mu`` entries strings holding exact
-        rationals or integers, ``n``, ``mu``, ``databases``, ``queries``
-        and ``terms`` arrays, the document, ``meta``, each database and
-        each query objects, and each term [message, slot].
+        'seed'``, ``meta: mu entry 1: not an exact rational: '1/0'``,
+        ``db 1 query 3: a term must be [message, slot], got [1]``): text
+        that is not JSON, a version other than 1, a missing field or one
+        of the wrong JSON type, a meta whose sequence or profile is
+        invalid, a plan that breaks a ``QueryPlan`` rule, or (checked
+        last) a meta ``nu`` or ``t`` other than the plan's ``dims``.
+        Counts, indices and seeds are JSON integers (not floats or
+        booleans), ``mu`` entries strings holding exact rationals or
+        integers, ``n``, ``t``, ``mu``, ``databases``, ``queries`` and
+        ``terms`` arrays, the document, ``meta``, each database and each
+        query objects, and each term [message, slot].
     """
     doc = _checked(json.loads(text) if isinstance(text, str) else text, dict, "plan document")
     version = doc.get("version")
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")
     meta = _field(doc, "meta", dict, "plan document")
-    q, M, N, desired, seed = (_field(meta, key, int, "meta")
-                              for key in ("q", "M", "N", "desired", "seed"))
-    n = [_checked(v, int, "meta", f"n entry {i}")
-         for i, v in enumerate(_field(meta, "n", list, "meta"), start=1)]
+    q, M, N, nu, desired, seed = (_field(meta, key, int, "meta")
+                                  for key in ("q", "M", "N", "nu", "desired", "seed"))
+    n, t = ([_checked(v, int, "meta", f"{key} entry {i}")
+             for i, v in enumerate(_field(meta, key, list, "meta"), start=1)]
+            for key in ("n", "t"))
     mu = []
     for i, v in enumerate(_field(meta, "mu", list, "meta"), start=1):
         if type(v) is str:
-            v = parse_rational(v)
+            try:
+                v = parse_rational(v)
+            except ValueError as exc:
+                raise ValueError(f"meta: mu entry {i}: {exc}") from exc
         elif type(v) is not int:
             raise ValueError(f"meta: mu entry {i} must be a string or an integer, got {reprlib.repr(v)}")
         mu.append(v)
-    group_sequence, profile = derive_groups(M, N, n), EavesdropProfile(mu)
+    try:
+        group_sequence, profile = derive_groups(M, N, n), EavesdropProfile(mu)
+    except ValueError as exc:
+        raise ValueError(f"meta: {exc}") from exc
     databases = []
     for d, db in enumerate(_field(doc, "databases", list, "plan document"), start=1):
         queries = []
@@ -630,8 +624,13 @@ def plan_from_json(text: str | dict) -> QueryPlan:
             queries.append(Query(terms=tuple(map(tuple, terms)),
                                  noise_slot=_field(entry, "noise_slot", int, where)))
         databases.append(tuple(queries))
-    return QueryPlan(q=q, group_sequence=group_sequence, mu=profile, desired=desired, seed=seed,
+    plan = QueryPlan(q=q, group_sequence=group_sequence, mu=profile, desired=desired, seed=seed,
                      databases=tuple(databases))
+    for key, given, derived in (("nu", nu, plan.dims.nu), ("t", t, list(plan.dims.t))):
+        if given != derived:
+            raise ValueError(f"meta: {key} is {reprlib.repr(given)}, but the sequence and "
+                             f"profile give {reprlib.repr(derived)}")
+    return plan
 
 
 _JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}

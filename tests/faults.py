@@ -86,7 +86,8 @@ MISSING = object()
 #: indexed ones are database 1, its query 1 and that query's term 1.
 FIELDS = {
     "meta": ("meta",),
-    **{f"meta.{key}": ("meta", key) for key in ("q", "M", "N", "n", "mu", "desired", "seed")},
+    **{f"meta.{key}": ("meta", key)
+       for key in ("q", "M", "N", "n", "mu", "nu", "t", "desired", "seed")},
     "databases": ("databases",),
     "queries": ("databases", 0, "queries"),
     "terms": ("databases", 0, "queries", 0, "terms"),

@@ -243,7 +243,16 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc.update(databases={}), "databases must be an array, got {}"),
         (lambda doc: doc["meta"].update(n="122"), "n must be an array, got '122'"),
         (lambda doc: doc["meta"].update(mu="00"), "mu must be an array, got '00'"),
-        (lambda doc: doc["meta"].update(mu=["1/0", "1/2"]), "not an exact rational: '1/0'"),
+        # a meta value that derives nothing valid is named with where it sits
+        (lambda doc: doc["meta"].update(mu=["1/0", "1/2"]),
+         "meta: mu entry 1: not an exact rational: '1/0'"),
+        (lambda doc: doc["meta"].update(mu=["1/4", "3/2"]),
+         "meta: eavesdropping ratio 3/2 outside [0, 1)"),
+        (lambda doc: doc["meta"].update(n=[1, 2]), "meta: vector length 2 != M=3"),
+        # nu and t must be the dimensioning that the sequence and profile give
+        (lambda doc: doc["meta"].update(nu=99), "meta: nu is 99, but the sequence and profile give 3"),
+        (lambda doc: doc["meta"].update(t=[1, 1]),
+         "meta: t is [1, 1], but the sequence and profile give [16, 18]"),
         (lambda doc: doc["meta"].update(mu=[None, "1/2"]),
          "meta: mu entry 1 must be a string or an integer, got None"),
         (lambda doc: doc["meta"].update(mu=["1/4", 0.5]),
@@ -574,7 +583,7 @@ GOLDEN_DIGESTS = {
     "plan-bad-desired": "3ee41097e26babc5",
     "plan-bad-sequence": "4059f6faafdabbc5",
     "plan-json": "e30ad336f5b07167",
-    "plan-small-field": "d88f3da2d248946e",
+    "plan-small-field": "2848ff33532a2204",
     "plan-table": "54b8962cd45a704b",
     "scheme": "0d5fa2b7369650da",
     "simulate-broken-symmetry-json": "ffe7609d8741bfbf",

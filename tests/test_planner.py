@@ -21,7 +21,7 @@ from wtcpir.planner import (
     plan_to_table,
     plan_violations,
 )
-from wtcpir.protocol import audit_privacy, audit_security
+from wtcpir.protocol import audit_decodability, audit_privacy, audit_security
 from wtcpir.schemes import (
     EavesdropProfile,
     achievable_rate,
@@ -31,7 +31,7 @@ from wtcpir.schemes import (
 )
 
 import faults
-from oracles import plan_document_stdlib
+from oracles import leakage_is_message_independent, plan_document_stdlib
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU0 = EavesdropProfile([0, 0])
@@ -326,12 +326,32 @@ def test_download_budget_admits_a_plan_at_the_limit(monkeypatch):
 
 
 def test_field_choice_and_override():
+    # t = (16, 18): the default is the smallest prime above 18; QueryPlan
+    # judges an override, by the rule a loaded plan meets
     assert worked_plan().q == 19
     assert build_plan(3, 2, (1, 2, 2), WORKED_MU, 1, 7, q=23).q == 23
-    with pytest.raises(ValueError, match="field too small"):
+    with pytest.raises(ValueError, match=r"^field too small: t=18 > q=17; pick a larger field$"):
         build_plan(3, 2, (1, 2, 2), WORKED_MU, 1, 7, q=17)
-    with pytest.raises(ValueError, match="prime"):
+    with pytest.raises(ValueError, match=r"^field modulus must be prime, got 21$"):
         build_plan(3, 2, (1, 2, 2), WORKED_MU, 1, 7, q=21)
+    with pytest.raises(ValueError, match=r"^field modulus too large"):
+        build_plan(3, 2, (1, 2, 2), WORKED_MU, 1, 7, q=2 ** 64 + 13)
+
+
+def test_field_as_large_as_the_longest_answer():
+    # t = (3, 3) with keys (0, 2): three evaluation points fill GF(3)
+    mu = EavesdropProfile(["0", "2/3"])
+    plans = [build_plan(3, 2, (1, 1, 2), mu, desired=i, seed=0, q=3) for i in (1, 2, 3)]
+    plan = plans[0]
+    assert (plan.q, plan.dims.t, plan.dims.key_len) == (3, (3, 3), (0, 2))
+    assert plan_violations(plan) == []
+    assert audit_privacy(plans)["status"] == "PASS"
+    assert audit_security(plan)["status"] == "PASS"
+    assert audit_decodability(plan, trials=4)["status"] == "PASS"
+    assert leakage_is_message_independent(plan)[0] is True
+    assert plan_from_json(plan_to_json(plan)) == plan
+    with pytest.raises(ValueError, match=r"^field too small: t=3 > q=2; pick a larger field$"):
+        build_plan(3, 2, (1, 1, 2), mu, desired=1, seed=0, q=2)
 
 
 def test_build_input_validation():
