@@ -50,24 +50,16 @@ _DOWNLOAD_BUDGET = 1 << 20
 class Query:
     """One download: a k-sum of permuted message symbols plus one noise symbol.
 
-    ``terms`` lists (message, slot) pairs over distinct messages, sorted by
-    message; ``slot`` is the logical symbol index (the per-message
-    permutation maps it to a physical position at answer time).  Empty
-    terms mark a pure-noise download.  ``noise_slot`` indexes the
-    database's artificial-noise vector and equals the query's wire
-    position in freshly built plans.
+    A plain record; ``QueryPlan`` judges it.  ``terms`` lists (message,
+    slot) pairs with strictly increasing messages; ``slot`` is the logical
+    symbol index (the per-message permutation maps it to a physical
+    position at answer time).  Empty terms mark a pure-noise download.
+    ``noise_slot`` indexes the database's artificial-noise vector and
+    equals the query's wire position in freshly built plans.
     """
 
     terms: tuple[tuple[int, int], ...]
     noise_slot: int
-
-    def __post_init__(self) -> None:
-        msgs = [m for m, _ in self.terms]
-        if len(set(msgs)) != len(msgs):
-            raise ValueError(f"query mixes a message with itself: {self.terms}")
-        if self.noise_slot < 1:
-            raise ValueError(f"noise_slot must be positive, got {self.noise_slot}")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
 
     @property
     def is_pure_noise(self) -> bool:
@@ -104,19 +96,22 @@ class QueryPlan:
     compiled in the same walk.  ``signatures[d-1]`` is database d's
     ``signature``.  ``sums`` maps every downloaded undesired sum (a
     round-1 single is the one-term sum), as a frozenset of terms, to the
-    (database, flat wire position) pairs that download it, in wire order;
-    flat positions count every database's queries in turn.  ``bearing``
-    lists each desired-bearing query in wire order as (database, flat
-    wire position, desired slot, side terms).
+    flat wire position of its last download; flat positions count every
+    database's queries in turn.  ``bearing`` lists each desired-bearing
+    query in wire order as (database, flat wire position, desired slot,
+    side terms, subtract): ``subtract`` holds the flat positions whose
+    values resolve its side information, the last download, at any
+    database, of the side sum, else of each of its round-1 singles, and
+    is None if one of them was never downloaded.
 
     Every plan, built or loaded, is checked on construction: its total
     download sum(t_d) is at most ``_DOWNLOAD_BUDGET`` (2^20, checked
     before the permutations are made), it lists N databases, ``desired``
     lies in 1..M, GF(q) is a prime field with t_d <= q for every database
     d (distinct noise evaluation points), every noise slot of database d
-    lies in 1..t_d, and every term names a message in 1..M and a symbol
-    slot in 1..L.  A violation raises ``ValueError``, naming the database
-    and query where there is one.
+    lies in 1..t_d, and every query's terms name messages in 1..M,
+    strictly increasing, and symbol slots in 1..L.  A violation raises
+    ``ValueError``, naming the database and query where there is one.
     """
 
     q: int
@@ -130,8 +125,8 @@ class QueryPlan:
     dims: PlanDimensions = field(init=False)
     permutations: tuple[tuple[int, ...], ...] = field(init=False)
     signatures: tuple[Counter, ...] = field(init=False, compare=False, repr=False)
-    sums: dict[frozenset, list[tuple[int, int]]] = field(init=False, compare=False, repr=False)
-    bearing: list[tuple[int, int, int, tuple]] = field(init=False, compare=False, repr=False)
+    sums: dict[frozenset, int] = field(init=False, compare=False, repr=False)
+    bearing: list[tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         g = self.group_sequence
@@ -146,30 +141,40 @@ class QueryPlan:
         if not 1 <= self.desired <= self.M:
             raise ValueError(f"desired message {self.desired} out of range 1..{self.M}")
         L = dims.L
-        sums: dict[frozenset, list[tuple[int, int]]] = {}
+        sums: dict[frozenset, int] = {}
         bearing = []
         pos = 0
         for d, queries in enumerate(self.databases, start=1):
             check_evaluation_points(len(queries), self.q)
             for i, qr in enumerate(queries, start=1):
-                if qr.noise_slot > len(queries):
+                if not 1 <= qr.noise_slot <= len(queries):
                     raise ValueError(
                         f"db {d} query {i}: noise slot {qr.noise_slot} outside 1..{len(queries)}"
                     )
+                prev = 0
                 for m, slot in qr.terms:
                     if not 1 <= m <= self.M:
                         raise ValueError(f"db {d} query {i}: message {m} outside 1..{self.M}")
+                    if m <= prev:
+                        raise ValueError(f"db {d} query {i}: message {m} " + (
+                            "repeated" if m == prev else f"listed after message {prev}"))
                     if not 1 <= slot <= L:
                         raise ValueError(f"db {d} query {i}: slot {slot} outside 1..{L}")
+                    prev = m
                 side = tuple(p for p in qr.terms if p[0] != self.desired)
                 if len(side) < len(qr.terms):
                     bearing.append((d, pos, dict(qr.terms)[self.desired], side))
                 elif side:
-                    sums.setdefault(frozenset(side), []).append((d, pos))
+                    sums[frozenset(side)] = pos
                 pos += 1
+
+        def resolve(side: tuple) -> tuple | None:
+            keys = [frozenset(side)] if frozenset(side) in sums else [frozenset([p]) for p in side]
+            return tuple(sums[k] for k in keys) if all(k in sums for k in keys) else None
+
         object.__setattr__(self, "signatures", tuple(map(signature, self.databases)))
         object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "bearing", bearing)
+        object.__setattr__(self, "bearing", [(*b, resolve(b[3])) for b in bearing])
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +350,15 @@ def plan_violations(plan: QueryPlan) -> list[str]:
       messages appears exactly nu * y_l[k] times in the database's
       ``signature``);
     - desired slots cover 1..L exactly once across the whole plan;
-    - every desired-bearing sum's side information is either an undesired
-      query downloaded verbatim at another database or a combination of
-      round-1 singles from other databases.
+    - every desired-bearing sum's side information resolves in the plan's
+      ``bearing`` (a side downloaded only at its own database shares a
+      symbol slot with the sum there, a duplicate reported above).
     """
     g = plan.group_sequence
     dims = plan.dims
     L = dims.L
     problems: list[str] = []
     sc = stage_counts(g)
-
-    def elsewhere(terms, d: int) -> bool:
-        return any(other != d for other, _ in plan.sums.get(frozenset(terms), ()))
 
     desired_slots: list[int] = []
     for d, queries in enumerate(plan.databases, start=1):
@@ -390,9 +392,9 @@ def plan_violations(plan: QueryPlan) -> list[str]:
                     )
                     break
 
-        for _, _, slot, side in (b for b in plan.bearing if b[0] == d):
+        for _, _, slot, side, subtract in (b for b in plan.bearing if b[0] == d):
             desired_slots.append(slot)
-            if not side or elsewhere(side, d) or all(elsewhere([p], d) for p in side):
+            if subtract is not None:
                 continue
             problems.append(
                 f"db {d}: side information {side} for a round-{len(side) + 1} desired "
@@ -422,7 +424,7 @@ def plan_stats(plan: QueryPlan) -> dict:
     ``Fraction``).
     """
     t = tuple(len(qs) for qs in plan.databases)
-    L = len({slot for _, _, slot, _ in plan.bearing})
+    L = len({b[2] for b in plan.bearing})
     per_round: dict[int, dict[int, int]] = {}
     for d, sig in enumerate(plan.signatures, start=1):
         rounds: Counter = Counter()
@@ -568,7 +570,8 @@ def plan_from_json(text: str | dict) -> QueryPlan:
     """Rebuild a plan from its JSON document.
 
     Queries are taken as serialized — no re-derivation or equality check —
-    so edited plans load fine and are judged by the audits instead.
+    so edited plans load fine and are judged by the audits instead.  Each
+    term list is sorted as it is read, so its order in the file is free.
 
     Raises
     ------
@@ -580,14 +583,14 @@ def plan_from_json(text: str | dict) -> QueryPlan:
         of the wrong JSON type, a meta whose sequence or profile is
         invalid, a plan that breaks a ``QueryPlan`` rule, or (checked
         last) a meta ``nu`` or ``t`` other than the plan's ``dims``.
-        Counts, indices and seeds are JSON integers (not floats or
-        booleans), ``mu`` entries strings holding exact rationals or
-        integers, ``n``, ``t``, ``mu``, ``databases``, ``queries`` and
-        ``terms`` arrays, the document, ``meta``, each database and each
-        query objects, and each term [message, slot].
+        The version, counts, indices and seeds are JSON integers (not
+        floats or booleans), ``mu`` entries strings holding exact
+        rationals or integers, ``n``, ``t``, ``mu``, ``databases``,
+        ``queries`` and ``terms`` arrays, the document, ``meta``, each
+        database and each query objects, and each term [message, slot].
     """
     doc = _checked(json.loads(text) if isinstance(text, str) else text, dict, "plan document")
-    version = doc.get("version")
+    version = _field(doc, "version", int, "plan document")
     if version != 1:
         raise ValueError(f"unsupported plan document version: {version!r}")
     meta = _field(doc, "meta", dict, "plan document")
@@ -621,7 +624,7 @@ def plan_from_json(text: str | dict) -> QueryPlan:
                 if type(term) is not list or len(term) != 2 or type(term[0]) is not int \
                         or type(term[1]) is not int:
                     raise ValueError(f"{where}: a term must be [message, slot], got {reprlib.repr(term)}")
-            queries.append(Query(terms=tuple(map(tuple, terms)),
+            queries.append(Query(terms=tuple(sorted(map(tuple, terms))),
                                  noise_slot=_field(entry, "noise_slot", int, where)))
         databases.append(tuple(queries))
     plan = QueryPlan(q=q, group_sequence=group_sequence, mu=profile, desired=desired, seed=seed,

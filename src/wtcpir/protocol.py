@@ -5,7 +5,7 @@ message symbols plus one symbol of an artificial-noise codeword, the
 encoding of a short uniform key under a Vandermonde generator.  The
 decoder interpolates each database's key from the pure-noise downloads,
 strips the noise, and resolves every desired sum against side information
-downloaded elsewhere.
+downloaded at any database.
 
 Audits check the three scheme guarantees directly on wire data:
 
@@ -102,15 +102,14 @@ class _Wire:
     (permutation applied), and its observation size mu_d * t_d.
     ``program`` lists, per entry of the plan's ``bearing``, its physical
     output index, its flat wire position and the flat positions whose
-    values it subtracts: the last download, at any database, of its side
-    sum in the plan's ``sums``, else of each of its round-1 singles.
-    ``error`` is the first decode failure the plan forces (missing side
-    information, else a wrong count of recovered desired slots), or None.
+    values it subtracts, as the plan resolved them.  ``error`` is the
+    first decode failure the plan forces (missing side information, else
+    a wrong count of recovered desired slots), or None.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
-        L, perms, sums = plan.dims.L, plan.permutations, plan.sums
+        L, perms = plan.dims.L, plan.permutations
         self.dbs = []
         for d, queries in enumerate(plan.databases, start=1):
             noise_at = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
@@ -124,19 +123,14 @@ class _Wire:
 
         self.program: list[tuple[int, int, tuple[int, ...]]] = []
         self.error = None
-        for d, pos, slot, side in plan.bearing:
-            if frozenset(side) in sums:
-                subtract = (sums[frozenset(side)][-1][1],)
-            else:
-                # resolve the side terms one round-1 single at a time
-                missing = next((p for p in side if frozenset([p]) not in sums), None)
-                if missing is not None:
-                    self.error = (f"db {d}: side information {missing} for slot {slot} "
-                                  "was never downloaded")
-                    return
-                subtract = tuple(sums[frozenset([p])][-1][1] for p in side)
+        for d, pos, slot, side, subtract in plan.bearing:
+            if subtract is None:
+                missing = next(p for p in side if frozenset([p]) not in plan.sums)
+                self.error = (f"db {d}: side information {missing} for slot {slot} "
+                              "was never downloaded")
+                return
             self.program.append((perms[plan.desired - 1][slot - 1] - 1, pos, subtract))
-        slots = {slot for _, _, slot, _ in plan.bearing}
+        slots = {b[2] for b in plan.bearing}
         if slots != set(range(1, L + 1)):
             self.error = f"decode recovered {len(slots)} desired slots, expected 1..{L}"
 
@@ -232,12 +226,11 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
 
     Per database: interpolate the key from the pure-noise positions,
     re-expand the noise codeword, and strip it.  Then resolve every
-    desired-bearing sum by subtracting its side information — the value
-    of the identical undesired sum, or of the matching round-1 singles,
-    downloaded at any database (its own included; ``plan_violations``
-    demands another one).  Returns the message in physical symbol
-    order.  Runs through the plan's compiled wire, built for this one
-    call.
+    desired-bearing sum by subtracting its side information as the plan
+    resolved it — the value of the identical undesired sum, or of the
+    matching round-1 singles, last downloaded at any database.  Returns
+    the message in physical symbol order.  Runs through the plan's
+    compiled wire, built for this one call.
 
     Raises
     ------
@@ -401,11 +394,11 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
       G_P then form an invertible Vandermonde matrix (t_d <= q), so the
       key and with it every noise symbol is interpolated exactly;
     - the compiled wire's side-information program resolves every desired
-      slot (``_Wire.error`` is None).  ``Query`` forbids a message mixed
-      with itself, so a desired-bearing query has exactly one desired
-      term, and its side terms are subtracted as the identical undesired
-      sum, or as the identical round-1 singles, downloaded at some
-      database.
+      slot (``_Wire.error`` is None).  ``QueryPlan`` forbids a message
+      mixed with itself, so a desired-bearing query has exactly one
+      desired term, and its side terms are subtracted as the identical
+      undesired sum, or as the identical round-1 singles, downloaded at
+      some database.
 
     A PASS reports ``certificate: "linear"``; a FAIL names the first
     failing condition (``"non-integral"``, ``"singular"`` or

@@ -24,19 +24,22 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import Iterator, Sequence, Union
 
+from .fieldmath import parse_rational
+
 # All rates, traffic shares, and eavesdropping ratios in this package are
 # exact rationals; floats are rejected at the boundary.
 RationalLike = Union[int, Fraction, str]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Convert to an exact Fraction, rejecting floats outright."""
+    """Convert to an exact Fraction, rejecting floats outright; a string
+    goes through ``parse_rational``."""
     if isinstance(value, float):
         raise TypeError(
             f"floating-point value {value!r} not accepted; pass an exact "
             "rational such as Fraction(1, 3) or the string '1/3'"
         )
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _seed_factor(M: int, s: int) -> int:

@@ -13,7 +13,7 @@ import dataclasses
 from functools import reduce
 from operator import getitem
 
-from wtcpir import Query, QueryPlan, build_plan
+from wtcpir import EavesdropProfile, Query, QueryPlan, build_plan
 
 
 def _replace_db(plan: QueryPlan, d: int, queries) -> QueryPlan:
@@ -79,12 +79,29 @@ def rewired_side_information(plan: QueryPlan) -> QueryPlan:
     raise AssertionError("no multi-term desired sum to rewire")
 
 
+def own_side_singles() -> QueryPlan:
+    """The M=3, N=2 plan of sequence (2, 2, 2) at mu = 0 for message 1,
+    with the undesired singles b_1 (db 1) and b_2 (db 2) swapped: each
+    database then holds the single that its own desired sum (a_3+b_2 at
+    db 1, a_5+b_1 at db 2) needs, and no other database holds it."""
+    plan = build_plan(3, 2, (2, 2, 2), EavesdropProfile(["0", "0"]), desired=1, seed=3)
+    db1, db2 = (list(qs) for qs in plan.databases)
+    i = next(i for i, qr in enumerate(db1) if qr.terms == ((2, 1),))
+    j = next(j for j, qr in enumerate(db2) if qr.terms == ((2, 2),))
+    db1[i], db2[j] = (
+        Query(terms=db2[j].terms, noise_slot=db1[i].noise_slot),
+        Query(terms=db1[i].terms, noise_slot=db2[j].noise_slot),
+    )
+    return dataclasses.replace(plan, databases=(tuple(db1), tuple(db2)))
+
+
 #: Stands for a deleted field in ``malformed_documents``.
 MISSING = object()
 
 #: The document fields that ``malformed_documents`` edits, by path; the
 #: indexed ones are database 1, its query 1 and that query's term 1.
 FIELDS = {
+    "version": ("version",),
     "meta": ("meta",),
     **{f"meta.{key}": ("meta", key)
        for key in ("q", "M", "N", "n", "mu", "nu", "t", "desired", "seed")},

@@ -218,6 +218,9 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
     # the first query of database 1 downloads (message 1, slot 1)
     cases = [
         (lambda doc: _set_noise_slot(doc, 99), "db 1 query 1: noise slot 99 outside 1..16"),
+        (lambda doc: _set_noise_slot(doc, 0), "db 1 query 1: noise slot 0 outside 1..16"),
+        (lambda doc: _set_noise_slot(doc, -3), "db 1 query 1: noise slot -3 outside 1..16"),
+        (lambda doc: _set_first_query(doc, terms=[[1, 1], [1, 2]]), "db 1 query 1: message 1 repeated"),
         (lambda doc: doc["databases"].append(doc["databases"][0]), "3 databases listed, expected N=2"),
         (lambda doc: _set_first_term(doc, 0, 9), "db 1 query 1: message 9 outside 1..3"),
         (lambda doc: _set_first_term(doc, 0, 0), "db 1 query 1: message 0 outside 1..3"),
@@ -228,6 +231,7 @@ def test_out_of_range_noise_slot_is_usage_error(tmp_path, capsys, command):
         (lambda doc: doc["meta"].update(M=3.7), "M must be an integer, got 3.7"),
         (lambda doc: doc["meta"].update(q=1.5), "q must be an integer, got 1.5"),
         (lambda doc: doc["meta"].update(seed=True), "seed must be an integer, got True"),
+        (lambda doc: doc.update(version=True), "plan document: version must be an integer, got True"),
         (lambda doc: doc["meta"].update(q=2), "field too small: t=16 > q=2"),
         (lambda doc: doc["meta"].update(q=2 ** 64 + 13), "field modulus too large"),
         # malformed documents; an edit that returns a value replaces the document

@@ -199,6 +199,47 @@ def test_structure_reports_match_golden_digest():
     assert digest.hexdigest() == "6f162ae9e5888e1f01dbd35cd1aed7e9beaeb4feee5deae3d5c1d5be0a1c8c55"
 
 
+def _side_findings_at_another_database(plan):
+    """The stricter side-information rule, as an oracle: a desired-bearing
+    sum's side sum, or each of its round-1 singles, must be downloaded at
+    another database.  Returns the (database, flat position) of every sum
+    that breaks it."""
+    at: dict[frozenset, set[int]] = {}
+    for d, queries in enumerate(plan.databases, start=1):
+        for qr in queries:
+            if qr.terms and plan.desired not in qr.message_set():
+                at.setdefault(frozenset(qr.terms), set()).add(d)
+    found = []
+    for d, pos, _, side, _ in plan.bearing:
+        def elsewhere(terms):
+            return bool(at.get(frozenset(terms), set()) - {d})
+        if side and not elsewhere(side) and not all(elsewhere([p]) for p in side):
+            found.append((d, pos))
+    return found
+
+
+def test_side_information_at_any_database_keeps_every_verdict():
+    # plan_violations accepts side information downloaded at the sum's own
+    # database; wherever the stricter rule differs, that database downloads
+    # a symbol slot twice, so plan_violations still reports it there
+    plans = [faults.own_side_singles()]
+    for M, N, mu in STRUCTURE_SHAPES:
+        profile = EavesdropProfile(list(mu))
+        for g in enumerate_sequences(M, N):
+            for desired in (1, M):
+                plans += _structure_variants(build_plan(M, N, g, profile, desired=desired, seed=10 * M + N))
+    differ = 0
+    for plan in plans:
+        problems = plan_violations(plan)
+        unresolved = {(d, pos) for d, pos, *_, subtract in plan.bearing if subtract is None}
+        strict = set(_side_findings_at_another_database(plan))
+        assert unresolved <= strict
+        for d, _ in strict - unresolved:
+            differ += 1
+            assert any(v.startswith(f"db {d}: symbol slots downloaded twice") for v in problems)
+    assert differ == 2  # both desired sums of the swapped plan
+
+
 def test_plan_document_matches_stdlib_encoder():
     # the direct writer against json.dumps(doc, indent=2): per shape with M in
     # 2..6 and N in 2..4, a seeded sequence of at most 1000 downloads at two
@@ -364,13 +405,30 @@ def test_build_input_validation():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError, match="mixes"):
-        Query(terms=((1, 2), (1, 3)), noise_slot=1)
-    with pytest.raises(ValueError):
-        Query(terms=(), noise_slot=0)
-    q = Query(terms=((2, 5), (1, 4)), noise_slot=3)
-    assert q.terms == ((1, 4), (2, 5))
+    # Query is a plain record; QueryPlan judges its terms and noise slot
+    q = Query(terms=((2, 5), (1, 4)), noise_slot=0)
+    assert q.terms == ((2, 5), (1, 4)) and q.noise_slot == 0
     assert q.round == 2 and not q.is_pure_noise
+    plan = worked_plan()
+    i, pair = next((i, qr) for i, qr in enumerate(plan.databases[0], start=1) if qr.round >= 2)
+    m1, s1 = pair.terms[0]
+    for terms, noise_slot, message in [
+        (pair.terms, 0, f"db 1 query {i}: noise slot 0 outside 1..16"),
+        (((m1, s1), (m1, s1 + 1)) + pair.terms[2:], pair.noise_slot, f"db 1 query {i}: message {m1} repeated"),
+        (tuple(reversed(pair.terms)), pair.noise_slot,
+         f"db 1 query {i}: message {pair.terms[-2][0]} listed after message {pair.terms[-1][0]}"),
+    ]:
+        qs = list(plan.databases[0])
+        qs[i - 1] = Query(terms=terms, noise_slot=noise_slot)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            dataclasses.replace(plan, databases=(tuple(qs),) + plan.databases[1:])
+    # a document may list a query's terms in any order: loading sorts them
+    doc = json.loads(plan_to_json(plan))
+    terms = doc["databases"][0]["queries"][i - 1]["terms"]
+    terms.reverse()
+    assert terms != sorted(terms)
+    loaded = plan_from_json(doc)
+    assert loaded == plan and plan_to_json(loaded) == plan_to_json(plan)
 
 
 def _first_query(plan, **changes):
@@ -386,6 +444,8 @@ def _first_query(plan, **changes):
         (lambda p: {"desired": 0}, "desired message 0 out of range 1..3"),
         (lambda p: {"desired": 4}, "desired message 4 out of range 1..3"),
         (lambda p: _first_query(p, noise_slot=17), "db 1 query 1: noise slot 17 outside 1..16"),
+        (lambda p: _first_query(p, noise_slot=0), "db 1 query 1: noise slot 0 outside 1..16"),
+        (lambda p: _first_query(p, terms=((1, 1), (1, 2))), "db 1 query 1: message 1 repeated"),
         (lambda p: _first_query(p, terms=((0, 1),)), "db 1 query 1: message 0 outside 1..3"),
         (lambda p: _first_query(p, terms=((4, 1),)), "db 1 query 1: message 4 outside 1..3"),
         (lambda p: _first_query(p, terms=((1, 0),)), "db 1 query 1: slot 0 outside 1..12"),
@@ -394,7 +454,8 @@ def _first_query(plan, **changes):
         (lambda p: {"q": 17}, "field too small: t=18 > q=17"),
         (lambda p: {"q": 21}, "field modulus must be prime, got 21"),
     ],
-    ids=["databases", "desired-0", "desired-4", "noise-slot", "message-0", "message-4",
+    ids=["databases", "desired-0", "desired-4", "noise-slot", "noise-slot-0", "repeated-message",
+         "message-0", "message-4",
          "symbol-slot-0", "symbol-slot-13", "field-too-small", "field-not-prime"],
 )
 def test_plan_rejects_out_of_range_index(change, message):

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from wtcpir.capacity import inner_bound_at
 from wtcpir.schemes import (
     EavesdropProfile,
     achievable_rate,
@@ -61,6 +62,17 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.25)
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(2) == 2
+
+
+def test_malformed_rational_strings_are_value_errors():
+    # a string reads through parse_rational, so a zero denominator is a
+    # ValueError naming the text, not a ZeroDivisionError
+    for make in (lambda: as_fraction("1/0"), lambda: EavesdropProfile(["1/0"]),
+                 lambda: inner_bound_at(["1/0", "1"], EavesdropProfile([0, 0]), 3)):
+        with pytest.raises(ValueError, match=r"^not an exact rational: '1/0'$"):
+            make()
+    with pytest.raises(ValueError, match=r"^not an exact rational: 'x'$"):
+        EavesdropProfile(["0", "x"])
 
 
 def test_derive_groups_structure():
