@@ -82,24 +82,39 @@ def parse_rational(text: str) -> Fraction:
 # Exact linear algebra over GF(q): one forward-elimination kernel
 # ---------------------------------------------------------------------------
 
+def _pack(row: Sequence[int], w: int) -> int:
+    """``row`` as one int, a slot of ``w`` bits per entry, the first lowest."""
+    x = 0
+    for v in reversed(row):
+        x = x << w | v
+    return x
+
+
 def _echelon(m: list[list[int]], q: int) -> Iterator[tuple[int, list[int]]]:
-    """Forward elimination over GF(q) of the rows ``m`` (entries already in
-    [0, q); the list is consumed).  For each pivot column ``c``, in order,
-    yield ``(c, tail)``: the pivot row right of column ``c``, scaled so that
-    its entry in column ``c`` is 1.  The pivot row is the first remaining
-    row nonzero in column ``c``; only the rows not yet used as pivots are
-    updated, and only right of ``c``, so each is kept from column ``c`` on.
+    """Forward elimination over GF(q) of the rows ``m`` (entries in [0, q)).
+    For each pivot column ``c``, in order, yield ``(c, tail)``: the pivot
+    row right of ``c``, scaled so that its entry in ``c`` is 1.  The pivot
+    is the first remaining row nonzero in ``c``.  Each row is one int with
+    a W-bit slot per column (``_pack``), the current column lowest, each
+    slot an unreduced entry, so an update is one multiply-add,
+    ``(r >> W) + (q − f)·tail``.  No slot carries: it starts below q and
+    gains at most (q−1)² from each of at most n−1 other pivots, so it stays
+    below 2^W > q−1 + n·(q−1)², where n = len(m).
     """
-    rows = m
-    for c in range(len(m[0]) if m else 0):
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
+    w = (q - 1 + len(m) * (q - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    rows = [_pack(r, w) for r in m]
+    width = len(m[0]) if m else 0
+    for c in range(width):
+        i = next((i for i, r in enumerate(rows) if (r & mask) % q), None)
         if i is None:
-            rows = [r[1:] for r in rows]
+            rows = [r >> w for r in rows]
             continue
         p, rows[i] = rows[i], rows[0]
-        inv = pow(p[0], -1, q)
-        tail = [v * inv % q for v in p[1:]]
-        rows = [[(a - f * b) % q for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+        inv = pow(p & mask, -1, q)
+        tail = [(p >> s & mask) * inv % q for s in range(w, w * (width - c), w)]
+        packed = _pack(tail, w)
+        rows = [(r >> w) + (q - f) * packed if (f := (r & mask) % q) else r >> w
                 for r in rows[1:]]
         yield c, tail
 

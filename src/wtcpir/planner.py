@@ -341,7 +341,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
     """Check every structural plan invariant; return violations (empty = OK).
 
     Works from wire data only (queries, dims, desired, sequence), so it
-    applies equally to freshly built and deserialized plans:
+    applies equally to freshly built and deserialized plans.  Every check
+    runs on every database, whatever its query count:
 
     - per-database query and pure-noise counts match the dimensioning,
       and noise slots form a bijection onto wire positions;
@@ -365,7 +366,6 @@ def plan_violations(plan: QueryPlan) -> list[str]:
         t_d = dims.t[d - 1]
         if len(queries) != t_d:
             problems.append(f"db {d}: {len(queries)} queries, dimensioning says t={t_d}")
-            continue
         noise_slots = sorted(qr.noise_slot for qr in queries)
         if noise_slots != list(range(1, t_d + 1)):
             problems.append(f"db {d}: noise slots are not a bijection onto 1..{t_d}")
@@ -398,7 +398,7 @@ def plan_violations(plan: QueryPlan) -> list[str]:
                 continue
             problems.append(
                 f"db {d}: side information {side} for a round-{len(side) + 1} desired "
-                "sum is not downloadable elsewhere"
+                "sum is downloaded nowhere, neither whole nor single by single"
             )
 
     if sorted(desired_slots) != list(range(1, L + 1)):

@@ -287,6 +287,25 @@ def gauss_jordan_solve(a, b, q: int) -> list[int]:
     return [row[n] for row in aug]
 
 
+def echelon_by_lists(m, q: int):
+    """The list-of-rows forward-elimination kernel that ``fieldmath._echelon``
+    packs into one int per row: the same ``(c, tail)`` stream, one
+    Python-level multiply-mod per entry of every row update.  ``m`` (entries
+    in [0, q)) is consumed."""
+    rows = m
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        p, rows[i] = rows[i], rows[0]
+        inv = pow(p[0], -1, q)
+        tail = [v * inv % q for v in p[1:]]
+        rows = [[(a - f * b) % q for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+                for r in rows[1:]]
+        yield c, tail
+
+
 def vandermonde(t: int, k: int, q: int):
     return [[pow(i + 1, j, q) for j in range(k)] for i in range(t)]
 

@@ -570,12 +570,12 @@ GOLDEN_INVOCATIONS = {
 }
 
 GOLDEN_DIGESTS = {
-    "audit-broken-symmetry-json": "38bda3becabfe058",
-    "audit-broken-symmetry-table": "3ae34040751ff7d7",
+    "audit-broken-symmetry-json": "6d58a0444e30c390",
+    "audit-broken-symmetry-table": "4ac027dda37c3e2a",
     "audit-honest-json": "56631071a0f96b58",
     "audit-honest-table": "3bbba3bc1b49c09b",
-    "audit-rewired-json": "1972dea1d26ca92f",
-    "audit-rewired-table": "4b856add5e55d6d5",
+    "audit-rewired-json": "9f6b8fe1f93dcb1c",
+    "audit-rewired-table": "a5d8afad8f35cf69",
     "audit-shorter-key-json": "ed207dc1942c5fdf",
     "audit-shorter-key-table": "0c5f461467b44f6c",
     "capacity-54-csv": "87031e07b11a2c5c",

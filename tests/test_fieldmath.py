@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from wtcpir.fieldmath import (
+    _echelon,
     MdsCode,
     check_evaluation_points,
     is_prime,
@@ -18,7 +19,7 @@ from wtcpir.fieldmath import (
     smallest_prime_at_least,
 )
 
-from oracles import gauss_jordan_solve, rank_gf, trial_division_prime, vandermonde
+from oracles import echelon_by_lists, gauss_jordan_solve, rank_gf, trial_division_prime, vandermonde
 
 
 def test_is_prime_small_table():
@@ -167,6 +168,47 @@ def test_mat_rank_matches_oracle_on_planted_rank(rows, cols, rank):
         a = [[sum(x * c[k][j] for k, x in enumerate(row)) - q * rng.randrange(-2, 3) for j in range(cols)] for row in b]
         assert mat_rank(a, q) == rank_gf(a, q) <= rank, q
     assert mat_rank([], 7) == 0
+
+
+def _same_stream(m, q):
+    got = list(_echelon([list(r) for r in m], q))
+    assert got == list(echelon_by_lists([list(r) for r in m], q)), q
+    return got
+
+
+@pytest.mark.parametrize("q", PRIMES + (2 ** 64 - 59,))
+def test_packed_kernel_matches_list_kernel(q):
+    rng = random.Random(q % 1000)
+    for rows, cols, rank in ((9, 9, 9), (5, 13, 5), (14, 6, 6), (8, 8, 5), (10, 7, 3), (6, 11, 0)):
+        for _ in range(4):
+            full = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+            b = [[rng.randrange(q) for _ in range(rank)] for _ in range(rows)]
+            c = [[rng.randrange(q) for _ in range(cols)] for _ in range(rank)]
+            planted = [[sum(x * c[k][j] for k, x in enumerate(row)) % q for j in range(cols)] for row in b]
+            # zero columns, including the first and the last, have no pivot
+            holes = [[0 if j % 3 == 0 or j == cols - 1 else v for j, v in enumerate(row)] for row in full]
+            for m in (full, planted, holes):
+                _same_stream(m, q)
+    for m in ([], [[], []], [[0, 0], [0, 0]], [[q - 1]] * 3):
+        _same_stream(m, q)
+
+
+@pytest.mark.parametrize("q", (2, 2 ** 64 - 59))
+def test_packed_kernel_at_the_slot_bound(q):
+    # A = L.U with L all ones on and below the diagonal and U one on the
+    # diagonal and q-1 above it: every pivot's tail is all q-1 and every
+    # later row holds a 1 in the pivot column, so each of a row's n-1
+    # updates adds (q-1)^2 to every slot; the last row's slots need every
+    # one of the W bits, so a W one bit short carries into the next slot
+    n = 80
+    w = (q - 1 + n * (q - 1) ** 2).bit_length()
+    assert (q - 1 + (n - 1) * (q - 1) ** 2).bit_length() == w
+    m = [[(1 - j) % q if j <= r else -(r + 1) % q for j in range(n + 1)] for r in range(n)]
+    stream = _same_stream(m, q)
+    assert [c for c, _ in stream] == list(range(n))
+    assert all(tail == [q - 1] * (n - c) for c, tail in stream)
+    # all entries q-1: rank one, each slot gains only 1
+    assert len(_same_stream([[q - 1] * n for _ in range(n)], q)) == 1
 
 
 def test_generator_matches_hand_vandermonde():

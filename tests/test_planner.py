@@ -196,7 +196,7 @@ def test_structure_reports_match_golden_digest():
                 continue  # no undesired multi-sum to tamper with
             digest.update(json.dumps(audit_privacy(broken)).encode())
     assert (count, flagged) == (384, 308)
-    assert digest.hexdigest() == "6f162ae9e5888e1f01dbd35cd1aed7e9beaeb4feee5deae3d5c1d5be0a1c8c55"
+    assert digest.hexdigest() == "5892bd5f3d14b5863ce542dd21bd7c18d6f4329f65fd342bc2ff65504a3c8973"
 
 
 def _side_findings_at_another_database(plan):
@@ -502,5 +502,21 @@ def test_violations_detect_tampering():
     dbs = list(plan.databases)
     dbs[0] = tuple(qs)
     bad = dataclasses.replace(plan, databases=tuple(dbs))
-    assert any("side information" in v for v in plan_violations(bad))
+    assert plan_violations(bad) == [
+        "db 1: side information ((2, 7), (3, 6)) for a round-3 desired sum "
+        "is downloaded nowhere, neither whole nor single by single"
+    ]
+
+
+def test_violations_check_a_database_with_a_wrong_query_count():
+    # dropping database 2's last query, a pure-noise download, leaves every
+    # desired slot on the wire: each check still runs on that database, and
+    # the desired slots still cover 1..L
+    plan = worked_plan()
+    assert plan.databases[1][-1].is_pure_noise
+    assert plan_violations(faults._replace_db(plan, 2, plan.databases[1][:-1])) == [
+        "db 2: 17 queries, dimensioning says t=18",
+        "db 2: noise slots are not a bijection onto 1..18",
+        "db 2: 8 pure-noise downloads, key length is 9",
+    ]
 

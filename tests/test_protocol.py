@@ -293,29 +293,31 @@ def test_honest_faultless_variants_differ_from_faulty():
     assert faults.rewired_side_information(plan).databases != plan.databases
 
 
-# (5,3), mu = (0, 1/4, 1/2), best_scheme sequence (1,2,3,3,3): keys of 24 and
-# 66 symbols over GF(137), the sizes the retrieval benchmark decodes
+# (M,3), mu = (0, 1/4, 1/2), best_scheme sequence: at M = 5, (1,2,3,3,3),
+# keys of 24 and 66 symbols over GF(137), the sizes the retrieval benchmark
+# decodes; at M = 6, (1,2,3,3,3,3), keys of 92 and 266 symbols over GF(541)
 RETRIEVAL_SCALE_DIGESTS = {
-    1: "0e243a73c4863a09",
-    2: "1a9d039cac42eba6",
-    3: "5d8016503266415e",
-    4: "f171dc26c26e990a",
-    5: "809374ec044317b4",
+    (5, 1): "0e243a73c4863a09",
+    (5, 2): "1a9d039cac42eba6",
+    (5, 3): "5d8016503266415e",
+    (5, 4): "f171dc26c26e990a",
+    (5, 5): "809374ec044317b4",
+    (6, 1): "d72010b0740e709d",
 }
+RETRIEVAL_SCALE_KEYS = {5: (137, [0, 24, 66]), 6: (541, [0, 92, 266])}
 
 
 def test_retrieval_scale_transcripts_match_golden():
     mu = EavesdropProfile(["0", "1/4", "1/2"])
-    g, _ = best_scheme(5, 3, mu)
-    for desired, want in RETRIEVAL_SCALE_DIGESTS.items():
-        plan = build_plan(5, 3, g, mu, desired=desired, seed=11)
-        assert plan.q == 137
-        assert [sum(qr.is_pure_noise for qr in db) for db in plan.databases] == [0, 24, 66]
-        store = random_store(5, plan.dims.L, plan.q, seed=3)
+    for (M, desired), want in RETRIEVAL_SCALE_DIGESTS.items():
+        g, _ = best_scheme(M, 3, mu)
+        plan = build_plan(M, 3, g, mu, desired=desired, seed=11)
+        assert (plan.q, [sum(qr.is_pure_noise for qr in db) for db in plan.databases]) == RETRIEVAL_SCALE_KEYS[M]
+        store = random_store(M, plan.dims.L, plan.q, seed=3)
         tr = run_retrieval(plan, store, key_seed=5)
         assert tr.decoded == store.messages[desired - 1]
         blob = json.dumps([tr.answers, tr.decoded, tr.eavesdropper.values])
-        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == want, desired
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == want, (M, desired)
 
 
 def _with_query(plan, d, i, **changes):
