@@ -198,5 +198,11 @@ def mds_generator(t: int, k: int, q: int) -> MdsCode:
     if not 0 <= k <= t:
         raise ValueError(f"need 0 <= k <= t, got k={k}, t={t}")
     points = tuple((i + 1) % q for i in range(t))
-    gen = tuple(tuple(pow(a, j, q) for j in range(k)) for a in points)
-    return MdsCode(t=t, k=k, q=q, eval_points=points, generator=gen)
+    gen = []
+    for a in points:  # running powers: one multiply-mod per entry
+        row, x = [], 1
+        for _ in range(k):
+            row.append(x)
+            x = x * a % q
+        gen.append(tuple(row))
+    return MdsCode(t=t, k=k, q=q, eval_points=points, generator=tuple(gen))

@@ -337,73 +337,65 @@ def build_plan(
 # Structural verification
 # ---------------------------------------------------------------------------
 
+def expected_signature(g: GroupSequence, dims: PlanDimensions, d: int) -> Counter:
+    """The ``signature`` that the sequence, nu and the key lengths fix for
+    database d, whatever the desired message: nu * y_l[k] copies of every
+    k-subset of messages, l being d's group, and key_len_d pure-noise
+    downloads as ``frozenset()``.  It holds only nonzero entries (none for
+    an inactive database), so it totals t_d and has at most t_d entries.
+    """
+    sc, group = stage_counts(g), g.group_of(d)  # of(None, k) is 0: inactive
+    expect = Counter({frozenset(ms): dims.nu * sc.of(group, k) for k in range(1, g.M + 1)
+                      if sc.of(group, k) for ms in combinations(range(1, g.M + 1), k)})
+    if dims.key_len[d - 1]:
+        expect[frozenset()] = dims.key_len[d - 1]
+    return expect
+
+
 def plan_violations(plan: QueryPlan) -> list[str]:
     """Check every structural plan invariant; return violations (empty = OK).
 
     Works from wire data only (queries, dims, desired, sequence), so it
     applies equally to freshly built and deserialized plans.  Every check
-    runs on every database, whatever its query count:
+    runs on every database:
 
-    - per-database query and pure-noise counts match the dimensioning,
-      and noise slots form a bijection onto wire positions;
-    - per message and database, no symbol slot is downloaded twice;
-    - every round's queries form complete stages (each k-subset of
-      messages appears exactly nu * y_l[k] times in the database's
-      ``signature``);
+    - its ``signature`` equals its ``expected_signature``; each differing
+      message set is named, with both counts;
+    - noise slots form a bijection onto wire positions 1..t_d;
+    - per message, no symbol slot is downloaded twice;
     - desired slots cover 1..L exactly once across the whole plan;
     - every desired-bearing sum's side information resolves in the plan's
       ``bearing`` (a side downloaded only at its own database shares a
       symbol slot with the sum there, a duplicate reported above).
     """
-    g = plan.group_sequence
-    dims = plan.dims
-    L = dims.L
+    g, dims = plan.group_sequence, plan.dims
     problems: list[str] = []
-    sc = stage_counts(g)
 
     desired_slots: list[int] = []
     for d, queries in enumerate(plan.databases, start=1):
         t_d = dims.t[d - 1]
-        if len(queries) != t_d:
-            problems.append(f"db {d}: {len(queries)} queries, dimensioning says t={t_d}")
-        noise_slots = sorted(qr.noise_slot for qr in queries)
-        if noise_slots != list(range(1, t_d + 1)):
+        if sorted(qr.noise_slot for qr in queries) != list(range(1, t_d + 1)):
             problems.append(f"db {d}: noise slots are not a bijection onto 1..{t_d}")
-        sig = plan.signatures[d - 1]
-        pure = sig[frozenset()]
-        if pure != dims.key_len[d - 1]:
-            problems.append(
-                f"db {d}: {pure} pure-noise downloads, key length is {dims.key_len[d - 1]}"
-            )
         used = Counter(pair for qr in queries for pair in qr.terms)
         dup = [pair for pair, c in used.items() if c > 1]
         if dup:
             problems.append(f"db {d}: symbol slots downloaded twice: {sorted(dup)[:3]}")
 
-        group = g.group_of(d)
-        for k in range(1, plan.M + 1):
-            expect = dims.nu * (sc.of(group, k) if group is not None else 0)
-            for tup in combinations(range(1, plan.M + 1), k):
-                got = sig[frozenset(tup)]
-                if got != expect:
-                    problems.append(
-                        f"db {d} round {k}: subset {tup} appears {got} times, "
-                        f"complete stages require {expect}"
-                    )
-                    break
+        got, expect = plan.signatures[d - 1], expected_signature(g, dims, d)
+        for ms in sorted((s for s in got.keys() | expect.keys() if got[s] != expect[s]),
+                         key=lambda s: (len(s), sorted(s))):
+            problems.append(f"db {d}: message set {tuple(sorted(ms))} appears {got[ms]} "
+                            f"times, the dimensioning says {expect[ms]}")
 
         for _, _, slot, side, subtract in (b for b in plan.bearing if b[0] == d):
             desired_slots.append(slot)
-            if subtract is not None:
-                continue
-            problems.append(
-                f"db {d}: side information {side} for a round-{len(side) + 1} desired "
-                "sum is downloaded nowhere, neither whole nor single by single"
-            )
+            if subtract is None:
+                problems.append(f"db {d}: side information {side} for a round-{len(side) + 1} desired "
+                                "sum is downloaded nowhere, neither whole nor single by single")
 
-    if sorted(desired_slots) != list(range(1, L + 1)):
+    if sorted(desired_slots) != list(range(1, dims.L + 1)):
         problems.append(
-            f"desired slots do not cover 1..L={L} exactly once "
+            f"desired slots do not cover 1..L={dims.L} exactly once "
             f"({len(desired_slots)} uses, {len(set(desired_slots))} distinct)"
         )
     return problems

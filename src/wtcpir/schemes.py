@@ -200,6 +200,7 @@ class StageCounts:
         return tuple(self.of(l, k) for k in range(1, M + 1))
 
 
+@cache
 def stage_counts(g: GroupSequence) -> StageCounts:
     """Solve the stage-count difference equations for a group sequence.
 
@@ -211,7 +212,8 @@ def stage_counts(g: GroupSequence) -> StageCounts:
 
     seeded by y_0[1] = prod over s in S of the seed factor.  The initial
     conditions y_j[k] = 0 for k <= j take precedence over the recurrence:
-    group j only starts producing stages in round j + 1.
+    group j only starts producing stages in round j + 1.  Memoised, like
+    ``plan_dimensions_per_rep``: the counts depend on the sequence alone.
     """
     M = g.M
     y: dict[tuple[int, int], int] = {(l, k): 0 for l in g.S for k in range(1, M + 1)}

@@ -2,10 +2,11 @@
 
 Everything here is typed from first principles (closed-form expressions,
 own modular arithmetic, own rank computation) so it shares no code with
-the package under test beyond reading plan structures.  The one exception
-is ``decodability_by_trials``, the sampled reference for the decodability
-proof: it runs the package's own retrievals and judges only their
-outcomes.
+the package under test beyond reading plan structures.  Two exceptions:
+``decodability_by_trials``, the sampled reference for the decodability
+proof, runs the package's own retrievals and judges only their outcomes;
+``stage_count_findings``, the reference for the structure audit's
+signature diff, reads the package's stage counts.
 """
 
 from __future__ import annotations
@@ -345,6 +346,38 @@ def plan_document_stdlib(plan) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Stage counts rule by rule (the reference for the signature diff)
+# ---------------------------------------------------------------------------
+
+def stage_count_findings(plan) -> list[str]:
+    """The structure audit's count rules before they became one signature
+    diff, as findings: each database's query count against t_d, its
+    pure-noise count against key_len_d, and, per round k, the first
+    k-subset of messages that does not appear nu * y_l[k] times."""
+    from wtcpir.schemes import stage_counts
+
+    g, dims = plan.group_sequence, plan.dims
+    sc = stage_counts(g)
+    found = []
+    for d, queries in enumerate(plan.databases, start=1):
+        sig = Counter(frozenset(m for m, _ in qr.terms) for qr in queries)
+        if len(queries) != dims.t[d - 1]:
+            found.append(f"db {d}: {len(queries)} queries, dimensioning says t={dims.t[d - 1]}")
+        if sig[frozenset()] != dims.key_len[d - 1]:
+            found.append(f"db {d}: {sig[frozenset()]} pure-noise downloads, "
+                         f"key length is {dims.key_len[d - 1]}")
+        group = g.group_of(d)
+        for k in range(1, plan.M + 1):
+            expect = dims.nu * (sc.of(group, k) if group is not None else 0)
+            for tup in combinations(range(1, plan.M + 1), k):
+                if sig[frozenset(tup)] != expect:
+                    found.append(f"db {d} round {k}: subset {tup} appears {sig[frozenset(tup)]} "
+                                 f"times, complete stages require {expect}")
+                    break
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def test_audit_structure_catches_a_dropped_side_term(tmp_path, capsys):
         "audit": "structure",
         "status": "FAIL",
         "violations": [
-            "db 2 round 1: subset (2,) appears 1 times, complete stages require 0",
-            "db 2 round 2: subset (2, 3) appears 2 times, complete stages require 3",
+            "db 2: message set (2,) appears 1 times, the dimensioning says 0",
+            "db 2: message set (2, 3) appears 2 times, the dimensioning says 3",
         ],
     }
 
@@ -570,14 +570,14 @@ GOLDEN_INVOCATIONS = {
 }
 
 GOLDEN_DIGESTS = {
-    "audit-broken-symmetry-json": "6d58a0444e30c390",
-    "audit-broken-symmetry-table": "4ac027dda37c3e2a",
+    "audit-broken-symmetry-json": "560ba7386f5e614c",
+    "audit-broken-symmetry-table": "ae43b69e26b79cfd",
     "audit-honest-json": "56631071a0f96b58",
     "audit-honest-table": "3bbba3bc1b49c09b",
     "audit-rewired-json": "9f6b8fe1f93dcb1c",
     "audit-rewired-table": "a5d8afad8f35cf69",
-    "audit-shorter-key-json": "ed207dc1942c5fdf",
-    "audit-shorter-key-table": "0c5f461467b44f6c",
+    "audit-shorter-key-json": "b4dd63da9c254d02",
+    "audit-shorter-key-table": "177f34d839350c64",
     "capacity-54-csv": "87031e07b11a2c5c",
     "capacity-54-json": "b9cdbfc4a82c81a4",
     "capacity-54-table": "8b680b8094e246f8",

@@ -215,6 +215,11 @@ def test_generator_matches_hand_vandermonde():
     code = mds_generator(4, 2, 7)
     assert [list(r) for r in code.generator] == vandermonde(4, 2, 7)
     assert code.eval_points == (1, 2, 3, 4)
+    # running products against one pow(a, j, q) per entry: k = 0, k = t
+    # with the point a = 0 (t = q), q = 2, and the (6,3) plan's codes
+    for t, k, q in [(5, 0, 7), (7, 7, 7), (2, 1, 2), (2, 2, 2),
+                    (280, 0, 541), (368, 92, 541), (532, 266, 541)]:
+        assert [list(r) for r in mds_generator(t, k, q).generator] == vandermonde(t, k, q)
 
 
 def test_encode_golden_and_zero_key():

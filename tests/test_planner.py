@@ -15,6 +15,7 @@ from wtcpir.planner import (
     Query,
     _render_query,
     build_plan,
+    expected_signature,
     plan_from_json,
     plan_stats,
     plan_to_json,
@@ -31,7 +32,7 @@ from wtcpir.schemes import (
 )
 
 import faults
-from oracles import leakage_is_message_independent, plan_document_stdlib
+from oracles import leakage_is_message_independent, plan_document_stdlib, stage_count_findings
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 MU0 = EavesdropProfile([0, 0])
@@ -108,6 +109,11 @@ def test_generator_scope_and_rate_accounting():
             for mu in profiles:
                 plan = build_plan(M, N, g, mu, desired=min(2, M), seed=3)
                 assert plan_violations(plan) == [], (M, N, g.n)
+                for d in range(1, N + 1):
+                    expect = expected_signature(g, plan.dims, d)
+                    assert expect.total() == plan.dims.t[d - 1]
+                    assert expect[frozenset()] == plan.dims.key_len[d - 1]
+                    assert expect == plan.signatures[d - 1]
                 assert plan_stats(plan)["rate"] == achievable_rate(g, mu)
 
 
@@ -173,6 +179,10 @@ def _structure_variants(plan):
     return variants
 
 
+def _databases_named(findings):
+    return {int(re.match(r"db (\d+)", v)[1]) for v in findings}
+
+
 def test_structure_reports_match_golden_digest():
     # plan_violations, plan_stats and audit_security of honest and broken
     # plans of every monotone sequence at five shapes, desired 1 and M, then
@@ -187,6 +197,10 @@ def test_structure_reports_match_golden_digest():
                 for variant in _structure_variants(plan):
                     report = [plan_violations(variant), plan_stats(variant), audit_security(variant)]
                     digest.update(json.dumps(report, default=str).encode())
+                    # the old count rules flag a database exactly when the
+                    # signature diff does
+                    assert _databases_named(v for v in report[0] if ": message set " in v) \
+                        == _databases_named(stage_count_findings(variant))
                     flagged += bool(report[0])
                     count += 1
             digest.update(json.dumps(audit_privacy(plans)).encode())
@@ -196,7 +210,7 @@ def test_structure_reports_match_golden_digest():
                 continue  # no undesired multi-sum to tamper with
             digest.update(json.dumps(audit_privacy(broken)).encode())
     assert (count, flagged) == (384, 308)
-    assert digest.hexdigest() == "5892bd5f3d14b5863ce542dd21bd7c18d6f4329f65fd342bc2ff65504a3c8973"
+    assert digest.hexdigest() == "92c7daa9e6f407ae6ce4ab2a39b01baa9c0faf2ca8630d3abc0e3aefffd794a3"
 
 
 def _side_findings_at_another_database(plan):
@@ -508,6 +522,25 @@ def test_violations_detect_tampering():
     ]
 
 
+def test_violations_name_every_differing_message_set():
+    # turning database 2's undesired pair b_2 + c_2 into a_1 + b_2 moves one
+    # download from message set {2, 3} to {1, 2}: both sets are named, with
+    # both counts, not only the first bad subset of the round
+    plan = worked_plan()
+    qs = list(plan.databases[1])
+    assert qs[3].terms == ((2, 2), (3, 2))
+    qs[3] = Query(terms=((1, 1), (2, 2)), noise_slot=qs[3].noise_slot)
+    assert plan_violations(faults._replace_db(plan, 2, qs)) == [
+        "db 1: side information ((2, 2), (3, 2)) for a round-3 desired sum "
+        "is downloaded nowhere, neither whole nor single by single",
+        "db 2: message set (1, 2) appears 4 times, the dimensioning says 3",
+        "db 2: message set (2, 3) appears 2 times, the dimensioning says 3",
+        "db 2: side information ((2, 2),) for a round-2 desired sum "
+        "is downloaded nowhere, neither whole nor single by single",
+        "desired slots do not cover 1..L=12 exactly once (13 uses, 12 distinct)",
+    ]
+
+
 def test_violations_check_a_database_with_a_wrong_query_count():
     # dropping database 2's last query, a pure-noise download, leaves every
     # desired slot on the wire: each check still runs on that database, and
@@ -515,8 +548,7 @@ def test_violations_check_a_database_with_a_wrong_query_count():
     plan = worked_plan()
     assert plan.databases[1][-1].is_pure_noise
     assert plan_violations(faults._replace_db(plan, 2, plan.databases[1][:-1])) == [
-        "db 2: 17 queries, dimensioning says t=18",
         "db 2: noise slots are not a bijection onto 1..18",
-        "db 2: 8 pure-noise downloads, key length is 9",
+        "db 2: message set () appears 8 times, the dimensioning says 9",
     ]
 
