@@ -88,7 +88,13 @@ def _parse_mu(text: str, N: int, sort: bool) -> EavesdropProfile:
 
 
 def _parse_n(text: str, M: int, N: int):
-    return derive_groups(M, N, tuple(int(p) for p in text.split(",")))
+    vec = []
+    for p in text.split(","):
+        try:
+            vec.append(int(p))
+        except ValueError:
+            raise ValueError(f"--n entries must be integers, got {p.strip()!r}") from None
+    return derive_groups(M, N, tuple(vec))
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -352,6 +352,13 @@ def expected_signature(g: GroupSequence, dims: PlanDimensions, d: int) -> Counte
     return expect
 
 
+def signature_diff(got: Counter, want: Counter) -> list[frozenset]:
+    """Every message set whose count differs between two signatures, a set
+    missing from one side counting 0, ordered by (size, sorted members)."""
+    return sorted((s for s in got.keys() | want.keys() if got[s] != want[s]),
+                  key=lambda s: (len(s), sorted(s)))
+
+
 def plan_violations(plan: QueryPlan) -> list[str]:
     """Check every structural plan invariant; return violations (empty = OK).
 
@@ -359,8 +366,8 @@ def plan_violations(plan: QueryPlan) -> list[str]:
     applies equally to freshly built and deserialized plans.  Every check
     runs on every database:
 
-    - its ``signature`` equals its ``expected_signature``; each differing
-      message set is named, with both counts;
+    - its ``signature`` equals its ``expected_signature``; each message
+      set of ``signature_diff`` between them is named, with both counts;
     - noise slots form a bijection onto wire positions 1..t_d;
     - per message, no symbol slot is downloaded twice;
     - desired slots cover 1..L exactly once across the whole plan;
@@ -382,8 +389,7 @@ def plan_violations(plan: QueryPlan) -> list[str]:
             problems.append(f"db {d}: symbol slots downloaded twice: {sorted(dup)[:3]}")
 
         got, expect = plan.signatures[d - 1], expected_signature(g, dims, d)
-        for ms in sorted((s for s in got.keys() | expect.keys() if got[s] != expect[s]),
-                         key=lambda s: (len(s), sorted(s))):
+        for ms in signature_diff(got, expect):
             problems.append(f"db {d}: message set {tuple(sorted(ms))} appears {got[ms]} "
                             f"times, the dimensioning says {expect[ms]}")
 

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Sequence
 
 from .fieldmath import mat_rank, mat_solve, mds_generator
-from .planner import QueryPlan
+from .planner import QueryPlan, signature_diff
 
 
 @dataclass(frozen=True)
@@ -255,36 +255,23 @@ def audit_privacy(plans: Sequence[QueryPlan]) -> dict:
     queries (pure noise counts as the empty set) must be the same in
     every plan.  Any difference names the database, the desired message
     of the first plan that differs from the first one, and the first
-    differing signature.
+    message set of ``signature_diff`` between the two, with both counts;
+    the structure audit names its findings through the same diff, in the
+    same order.
     """
     entries = []
-    status = "PASS"
     for d in range(1, plans[0].N + 1):
-        counters = [plan.signatures[d - 1] for plan in plans]
-        diff = None
-        for plan, ctr in zip(plans[1:], counters[1:]):
-            if ctr != counters[0]:
-                sig = sorted(
-                    set(counters[0]) | set(ctr),
-                    key=lambda s: (len(s), sorted(s)),
-                )
-                bad = next(s for s in sig if counters[0].get(s, 0) != ctr.get(s, 0))
-                diff = {
-                    "desired": plan.desired,
-                    "signature": sorted(bad),
-                    "counts": [counters[0].get(bad, 0), ctr.get(bad, 0)],
-                }
+        first, diff = plans[0].signatures[d - 1], None
+        for plan in plans[1:]:
+            sig = plan.signatures[d - 1]
+            if differing := signature_diff(first, sig):
+                bad = differing[0]
+                diff = {"desired": plan.desired, "signature": sorted(bad),
+                        "counts": [first[bad], sig[bad]]}
                 break
-        ok = diff is None
-        status = status if ok else "FAIL"
-        entries.append(
-            {
-                "database": d,
-                "status": "PASS" if ok else "FAIL",
-                "signatures": len(counters[0]),
-                "first_difference": diff,
-            }
-        )
+        entries.append({"database": d, "status": "PASS" if diff is None else "FAIL",
+                        "signatures": len(first), "first_difference": diff})
+    status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
     return {"audit": "privacy", "status": status, "databases": entries}
 
 

@@ -118,7 +118,12 @@ class GroupSequence:
     xi: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __init__(self, n: Sequence[int], N: int) -> None:
-        vec = tuple(int(v) for v in n)
+        vec = tuple(n)
+        for i, v in enumerate(vec, start=1):
+            # exact type, as bool is an int subclass; converting would
+            # silently read 1.5 as 1 and "2" as 2
+            if type(v) is not int:
+                raise TypeError(f"sequence entry {i} must be an int, got {v!r}")
         if not vec:
             raise ValueError("sequence must have at least one entry")
         if N < 1:

@@ -108,12 +108,20 @@ def test_wrong_mu_count_is_usage_error(capsys):
         (["sweep", "-M", "3", "-N", "2", "--step", "0"], "need step > 0 and 0 <= mu-max < 1"),
         (["sweep", "-M", "3", "-N", "2", "--step", "x"], "not an exact rational: 'x'"),
         (["sweep", "-M", "3", "-N", "2", "--mu-max", "1"], "need step > 0 and 0 <= mu-max < 1"),
-        (["scheme", "-M", "3", "-N", "2", "--mu", "1/4,1/2", "--n", "1,x"],
-         "invalid literal for int() with base 10: 'x'"),
     ],
 )
 def test_bad_argument_values_are_usage_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_non_integer_sequence_entry_is_usage_error(capsys):
+    # the error names the option and the stripped entry, not int()'s
+    # "invalid literal"
+    for command in ("scheme", "plan"):
+        for entry in ("x", "2.5"):
+            argv = [command, "-M", "3", "-N", "2", "--mu", "1/4,1/2", "--n", f"1, {entry},2"]
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: --n entries must be integers, got '{entry}'\n")
 
 
 def test_plan_simulate_audit_pipeline(tmp_path, capsys):

@@ -21,6 +21,7 @@ from wtcpir.planner import (
     plan_to_json,
     plan_to_table,
     plan_violations,
+    signature_diff,
 )
 from wtcpir.protocol import audit_decodability, audit_privacy, audit_security
 from wtcpir.schemes import (
@@ -416,6 +417,9 @@ def test_build_input_validation():
         build_plan(3, 2, (1, 2, 3), WORKED_MU, desired=1, seed=1)
     with pytest.raises(ValueError):
         build_plan(4, 2, (1, 2, 2), WORKED_MU, desired=1, seed=1)
+    # int() would build the (1, 1, 2) plan from 1.5
+    with pytest.raises(TypeError, match=r"^sequence entry 2 must be an int, got 1\.5$"):
+        build_plan(3, 2, (1, 1.5, 2), WORKED_MU, desired=1, seed=1)
 
 
 def test_query_validation():
@@ -539,6 +543,57 @@ def test_violations_name_every_differing_message_set():
         "is downloaded nowhere, neither whole nor single by single",
         "desired slots do not cover 1..L=12 exactly once (13 uses, 12 distinct)",
     ]
+
+
+def test_signature_diff_names_every_differing_set_in_one_order():
+    # pure noise differs (3 against 4), {2} and {10} sit on one side only,
+    # {1, 2} and {2, 3} are of equal size and differ, {1, 3} and {1, 2, 3}
+    # agree; members sort as numbers, so {2} comes before {10}
+    f = frozenset
+    got = Counter({f({2, 3}): 2, f({1, 3}): 2, f({2}): 1, f(): 3, f({1, 2}): 4, f({1, 2, 3}): 1})
+    want = Counter({f({1, 2, 3}): 1, f({10}): 2, f({1, 2}): 3, f(): 4, f({1, 3}): 2, f({2, 3}): 3})
+    expected = [f(), f({2}), f({10}), f({1, 2}), f({2, 3})]
+    assert signature_diff(got, want) == expected
+    assert signature_diff(want, got) == expected
+    assert signature_diff(got, Counter(dict(reversed(got.items())))) == []
+    assert signature_diff(Counter(), Counter()) == []
+
+
+def test_privacy_names_the_first_set_of_the_signature_diff():
+    # broken_symmetry drops a term from one undesired sum of the desired=1
+    # plan: each failing database names, with both counts, the first entry
+    # of signature_diff between the first plan and the first plan differing
+    # from it, the order in which plan_violations names its findings
+    worked = faults.broken_symmetry(3, 2, (1, 2, 2), WORKED_MU, seed=7)
+    assert audit_privacy(worked)["databases"] == [
+        {"database": 1, "status": "PASS", "signatures": 5, "first_difference": None},
+        {"database": 2, "status": "FAIL", "signatures": 5,
+         "first_difference": {"desired": 2, "signature": [2], "counts": [1, 0]}},
+    ]
+    cases = [worked]
+    for M, N, mu in STRUCTURE_SHAPES:
+        for g in enumerate_sequences(M, N):
+            try:
+                cases.append(faults.broken_symmetry(M, N, g, EavesdropProfile(list(mu)), 10 * M + N))
+            except AssertionError:
+                pass  # no undesired multi-sum to tamper with
+    failing = 0
+    for plans in cases:
+        report = audit_privacy(plans)
+        assert report["status"] == "FAIL"
+        for entry in report["databases"]:
+            first = plans[0].signatures[entry["database"] - 1]
+            other = next((p for p in plans[1:] if p.signatures[entry["database"] - 1] != first), None)
+            if other is None:
+                assert (entry["status"], entry["first_difference"]) == ("PASS", None)
+                continue
+            sig = other.signatures[entry["database"] - 1]
+            bad = signature_diff(first, sig)[0]
+            assert entry["status"] == "FAIL"
+            assert entry["first_difference"] == {
+                "desired": other.desired, "signature": sorted(bad), "counts": [first[bad], sig[bad]]}
+            failing += 1
+    assert (len(cases), failing) == (27, 27)  # one tampered database per case
 
 
 def test_violations_check_a_database_with_a_wrong_query_count():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ import pytest
 from wtcpir.capacity import inner_bound_at
 from wtcpir.schemes import (
     EavesdropProfile,
+    GroupSequence,
     achievable_rate,
     as_fraction,
     best_scheme,
@@ -91,6 +93,15 @@ def test_derive_groups_structure():
         derive_groups(3, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         derive_groups(3, 2, (0, 1, 2))
+
+
+def test_group_sequence_refuses_entries_that_are_not_ints():
+    # int() would truncate 1.5 to 1 and read "2" as 2; bool is an int
+    # subclass, refused like the rest
+    for vec, i, shown in (((1, 1.5, 2), 2, "1.5"), ((1, "2", 2), 2, "'2'"),
+                          ((True, 2, 2), 1, "True"), ((1, 2, Fraction(2)), 3, "Fraction(2, 1)")):
+        with pytest.raises(TypeError, match=rf"^sequence entry {i} must be an int, got {re.escape(shown)}$"):
+            GroupSequence(vec, 2)
 
 
 # Frozen stage-count goldens: {(vector): {group: (y[1..M])}}
