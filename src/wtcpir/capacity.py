@@ -39,20 +39,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .schemes import (
     EavesdropProfile,
+    EnumerationBudgetError,  # re-exported: capacity's searches raise it
     RationalLike,
     as_fraction,
     best_scheme,
+    check_enumeration_budget,
 )
 
 SequenceVector = tuple[int, ...]
 Form = tuple[tuple[int, ...], int]  # (a, D): the coefficient vector a / D
-
-_SEQUENCE_BUDGET = 500_000  # cap on N^(M-1) enumerated sequences
-
-
-class EnumerationBudgetError(ValueError):
-    """Raised when a bound computation would enumerate too many objects."""
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -251,15 +246,6 @@ def _solve_restricted(
 # Public bound computations
 # ---------------------------------------------------------------------------
 
-def _check_sequence_budget(M: int, N: int) -> None:
-    count = N ** (M - 1)
-    if count > _SEQUENCE_BUDGET:
-        raise EnumerationBudgetError(
-            f"enumeration too large: N^(M-1) = {count} sequences exceeds the "
-            f"budget of {_SEQUENCE_BUDGET}"
-        )
-
-
 def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     """Exact optimum of the capacity-bound LP by constraint generation.
 
@@ -274,7 +260,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
         raise ValueError("need M >= 1 and N >= 1")
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    _check_sequence_budget(M, N)
+    check_enumeration_budget("N^(M-1)", N ** (M - 1), "sequences")
     pool = _pool(M, N, mu)
     order = {form: i for i, form in enumerate(pool)}
 

@@ -207,18 +207,14 @@ def cmd_plan(args) -> int:
     else:
         g, _ = best_scheme(args.M, args.N, mu)
     plan = build_plan(args.M, args.N, g, mu, desired=args.desired, seed=args.seed, q=args.field_q)
-    doc = plan_to_json(plan)
-    table = plan_to_table(plan)
     if args.out:
         path = Path(args.out)
-        path.write_text(doc, encoding="utf-8")
+        path.write_text(plan_to_json(plan), encoding="utf-8")
         md = path.with_suffix(".md") if path.suffix != ".md" else path.with_suffix(".table.md")
-        md.write_text(table, encoding="utf-8")
+        md.write_text(plan_to_table(plan), encoding="utf-8")
         sys.stdout.write(f"wrote {path} and {md}\n")
-    elif args.format == "table":
-        sys.stdout.write(table)
     else:
-        sys.stdout.write(doc)
+        sys.stdout.write(plan_to_table(plan) if args.format == "table" else plan_to_json(plan))
     return 0
 
 

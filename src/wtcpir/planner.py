@@ -1,5 +1,9 @@
 """Executable query plans: symbolic download schedules with side-information
-wiring, per-message permutations, shuffled wire order, and noise-slot bindings.
+wiring, shuffled wire order, and noise-slot bindings.
+
+A plan is logical: its queries name (message, logical slot) pairs.  The
+physical wire (per-message symbol permutations, noise codes and
+observation sizes) is derived from it by ``protocol._Wire`` alone.
 
 A plan realizes one scheme repetition-by-repetition.  Stages of round k
 (complete sweeps over all k-subsets of messages) are spawned from *feeder*
@@ -87,10 +91,10 @@ class QueryPlan:
 
     It is constructed from exactly what its JSON document holds.
     ``databases[d-1]`` lists database d's queries in wire order (length
-    t_d, exactly key_len_d of them pure noise).  ``M``, ``N``, ``dims``
-    and ``permutations`` are derived from the sequence, profile and seed:
-    ``permutations[m-1]`` is the bijection taking logical slot s to the
-    physical symbol index ``permutations[m-1][s-1]`` of message m.
+    t_d, exactly key_len_d of them pure noise).  ``M``, ``N`` and ``dims``
+    are derived from the sequence and profile.  The plan is logical: the
+    per-message symbol permutations that ``seed`` drives are derived,
+    with the rest of the physical wire, by ``protocol._Wire``.
 
     The structure that the planner, the decoder and the audits read is
     compiled in the same walk.  ``signatures[d-1]`` is database d's
@@ -106,12 +110,12 @@ class QueryPlan:
 
     Every plan, built or loaded, is checked on construction: its total
     download sum(t_d) is at most ``_DOWNLOAD_BUDGET`` (2^20, checked
-    before the permutations are made), it lists N databases, ``desired``
-    lies in 1..M, GF(q) is a prime field with t_d <= q for every database
-    d (distinct noise evaluation points), every noise slot of database d
-    lies in 1..t_d, and every query's terms name messages in 1..M,
-    strictly increasing, and symbol slots in 1..L.  A violation raises
-    ``ValueError``, naming the database and query where there is one.
+    first), it lists N databases, ``desired`` lies in 1..M, GF(q) is a
+    prime field with t_d <= q for every database d (distinct noise
+    evaluation points), every noise slot of database d lies in 1..t_d,
+    and every query's terms name messages in 1..M, strictly increasing,
+    and symbol slots in 1..L.  A violation raises ``ValueError``, naming
+    the database and query where there is one.
     """
 
     q: int
@@ -123,7 +127,6 @@ class QueryPlan:
     M: int = field(init=False)
     N: int = field(init=False)
     dims: PlanDimensions = field(init=False)
-    permutations: tuple[tuple[int, ...], ...] = field(init=False)
     signatures: tuple[Counter, ...] = field(init=False, compare=False, repr=False)
     sums: dict[frozenset, int] = field(init=False, compare=False, repr=False)
     bearing: list[tuple] = field(init=False, compare=False, repr=False)
@@ -135,7 +138,6 @@ class QueryPlan:
         object.__setattr__(self, "N", g.N)
         object.__setattr__(self, "dims", dims)
         _check_download_budget(dims)
-        object.__setattr__(self, "permutations", _permutations_for(self.seed, g.M, dims.L))
         if len(self.databases) != self.N:
             raise ValueError(f"{len(self.databases)} databases listed, expected N={self.N}")
         if not 1 <= self.desired <= self.M:
@@ -185,15 +187,6 @@ def _check_download_budget(dims: PlanDimensions) -> None:
     if sum(dims.t) > _DOWNLOAD_BUDGET:
         raise ValueError(f"plan too large: it downloads {sum(dims.t)} symbols (L={dims.L}), "
                          f"over the budget of {_DOWNLOAD_BUDGET}")
-
-
-def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
-    perms = []
-    for m in range(1, M + 1):
-        ids = list(range(1, L + 1))
-        random.Random(f"{seed}/perm/{m}").shuffle(ids)
-        perms.append(tuple(ids))
-    return tuple(perms)
 
 
 def _wire_order(seed: int, d: int, t: int) -> list[int]:

@@ -7,6 +7,11 @@ decoder interpolates each database's key from the pure-noise downloads,
 strips the noise, and resolves every desired sum against side information
 downloaded at any database.
 
+A plan is logical: ``_Wire`` alone derives its physical wire (symbol
+permutations, noise codes, observation sizes).  Retrieval, decoding, the
+security audit and the decodability trials read that wire; only
+``run_retrieval`` draws the eavesdropper's view.
+
 Audits check the three scheme guarantees directly on wire data:
 
 - ``audit_privacy``   — query signatures are identical for every desired
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
@@ -89,36 +93,46 @@ class Transcript:
 DEFAULT_TRIALS = 32
 
 
-def _observation_size(plan: QueryPlan, d: int) -> Fraction:
-    return plan.mu.mu[d - 1] * len(plan.databases[d - 1])
+def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """Per message m, the seeded (``"{seed}/perm/{m}"``) bijection taking
+    logical slot s to the physical symbol index ``perms[m-1][s-1]``."""
+    perms = []
+    for m in range(1, M + 1):
+        ids = list(range(1, L + 1))
+        random.Random(f"{seed}/perm/{m}").shuffle(ids)
+        perms.append(tuple(ids))
+    return tuple(perms)
 
 
 class _Wire:
-    """A plan's wire, compiled once for any number of retrievals.
+    """A plan's physical wire, compiled once for any number of retrievals.
 
-    ``dbs[d-1]`` holds database d's noise code, the wire indices of its
-    pure-noise downloads, the generator rows at their noise slots, each
-    query's noise-slot index, each query's terms as flat store indices
-    (permutation applied), and its observation size mu_d * t_d.
-    ``program`` lists, per entry of the plan's ``bearing``, its physical
-    output index, its flat wire position and the flat positions whose
-    values it subtracts, as the plan resolved them.  ``error`` is the
-    first decode failure the plan forces (missing side information, else
-    a wrong count of recovered desired slots), or None.
+    ``dbs[d-1]`` holds database d's noise code (t = ``code.t``, key length
+    ``code.k``), the wire indices of its pure-noise downloads, the
+    generator rows at their noise slots, each query's 0-based noise slot,
+    each query's terms as flat store indices (permutation applied), and
+    its observation size mu_d * t_d.  ``program`` lists, per entry of the
+    plan's ``bearing``, its physical output index, its flat wire position
+    and the flat positions whose values it subtracts, as the plan
+    resolved them.  ``error`` is the first decode failure the plan forces
+    (missing side information, else a wrong count of recovered desired
+    slots), or None.  ``answer`` masks a store's sums with noise, and
+    ``decode`` strips it.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
-        L, perms = plan.dims.L, plan.permutations
+        L = plan.dims.L
+        perms = _permutations_for(plan.seed, plan.M, L)
         self.dbs = []
-        for d, queries in enumerate(plan.databases, start=1):
+        for queries, mu in zip(plan.databases, plan.mu.mu):
             noise_at = [i for i, qr in enumerate(queries) if qr.is_pure_noise]
             code = mds_generator(len(queries), len(noise_at), plan.q)
+            slots = [qr.noise_slot - 1 for qr in queries]
             self.dbs.append((
-                code, noise_at, [code.generator[queries[i].noise_slot - 1] for i in noise_at],
-                [qr.noise_slot - 1 for qr in queries],
+                code, noise_at, [code.generator[slots[i]] for i in noise_at], slots,
                 [[(m - 1) * L + perms[m - 1][s - 1] - 1 for m, s in qr.terms] for qr in queries],
-                _observation_size(plan, d),
+                mu * len(queries),
             ))
 
         self.program: list[tuple[int, int, tuple[int, ...]]] = []
@@ -148,7 +162,9 @@ class _Wire:
                 return "singular"
         return "side-information" if self.error else "linear"
 
-    def retrieve(self, store: MessageStore, key_seed) -> Transcript:
+    def answer(self, store: MessageStore, key_seed) -> list[tuple[int, ...]]:
+        """One answer row per database, masked with the noise codeword of
+        the key ``Random(f"{key_seed}/key/{d}")`` draws."""
         plan = self.plan
         if store.M != plan.M:
             raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
@@ -158,24 +174,15 @@ class _Wire:
             raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
         q = plan.q
         flat = [v for w in store.messages for v in w]
-        answers, positions, views = [], [], []
+        answers = []
         for d, (code, _, _, slots, terms, size) in enumerate(self.dbs, start=1):
             if size.denominator != 1:
                 raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
             rng = random.Random(f"{key_seed}/key/{d}")
             noise = code.encode(tuple(rng.randrange(q) for _ in range(code.k)))
-            row = tuple([(noise[slot] + sum(map(flat.__getitem__, idx))) % q
-                         for slot, idx in zip(slots, terms)])
-            answers.append(row)
-            view = random.Random(f"{key_seed}/view/{d}")
-            taps = sorted(view.sample(range(1, len(row) + 1), int(size)))
-            positions.append(tuple(taps))
-            views.append(tuple(row[p - 1] for p in taps))
-        return Transcript(
-            answers=tuple(answers),
-            decoded=self.decode(answers),
-            eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(views)),
-        )
+            answers.append(tuple([(noise[slot] + sum(map(flat.__getitem__, idx))) % q
+                                  for slot, idx in zip(slots, terms)]))
+        return answers
 
     def decode(self, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
         plan = self.plan
@@ -211,14 +218,27 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     Per database, a fresh uniform key is drawn from
     ``Random(f"{key_seed}/key/{d}")`` and expanded to the noise codeword;
     each answer is the sum of its permuted message symbols plus the noise
-    symbol at its noise slot.  The eavesdropper's tapped positions are a
-    seeded sample of exactly mu_n * t_n wire positions per database.
-    Runs through the plan's compiled wire, built for this one call.
+    symbol at its noise slot.  This is the one place the eavesdropper's
+    view is drawn: per database, a sample of exactly mu_n * t_n wire
+    positions from ``Random(f"{key_seed}/view/{d}")``.  Runs through the
+    plan's compiled wire, built for this one call.
 
     Raises ``ValueError`` if the store does not fit the plan, some
     mu_n * t_n is not an integer, or ``decode`` fails.
     """
-    return _Wire(plan).retrieve(store, key_seed)
+    wire = _Wire(plan)
+    answers = wire.answer(store, key_seed)
+    positions, values = [], []
+    for d, (row, (*_, size)) in enumerate(zip(answers, wire.dbs), start=1):
+        view = random.Random(f"{key_seed}/view/{d}")
+        taps = sorted(view.sample(range(1, len(row) + 1), int(size)))
+        positions.append(tuple(taps))
+        values.append(tuple(row[p - 1] for p in taps))
+    return Transcript(
+        answers=tuple(answers),
+        decoded=wire.decode(answers),
+        eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(values)),
+    )
 
 
 def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -316,8 +336,8 @@ def audit_security(plan: QueryPlan) -> dict:
     so all C(t_n, |S_n|) sets have full rank iff |S_n| is at most the key
     length and, when |S_n| >= 2, the noise slots (in 1..t_n, which
     ``QueryPlan`` guarantees) are pairwise distinct (Ozarow-Wyner coset
-    coding).  That is checked in O(t_n) with no rank computation
-    (``certificate: "mds"``).  On a FAIL the entry names the
+    coding), read from the plan's ``_Wire``.  That is checked in O(t_n)
+    with no rank computation (``certificate: "mds"``).  On a FAIL the entry names the
     lexicographically first failing set, confirmed by one rank check
     (``certificate: "witness"``).  A non-integral |S_n| fails with an
     empty failing set (``"non-integral"``); an empty observation passes
@@ -325,44 +345,24 @@ def audit_security(plan: QueryPlan) -> dict:
     (``exhaustive``), and ``sets_tested`` counts the rank checks run.
     """
     entries = []
-    status = "PASS"
-    for d, queries in enumerate(plan.databases, start=1):
-        t_d = len(queries)
-        key_len = plan.signatures[d - 1][frozenset()]
-        size_exact = _observation_size(plan, d)
-        entry = {
-            "database": d,
-            "t": t_d,
-            "key_len": key_len,
-            "observation_size": None,
-            "sets_tested": 0,
-            "exhaustive": size_exact.denominator == 1,
-            "status": "PASS",
-            "certificate": "mds",
-            "failing_set": None,
-        }
-        entries.append(entry)
-        if not entry["exhaustive"]:
-            entry.update(observation_size=str(size_exact), status="FAIL",
-                         certificate="non-integral", failing_set=[])
-            status = "FAIL"
-            continue
-        size = int(size_exact)
-        entry["observation_size"] = size
-        if size == 0:
-            entry["certificate"] = "empty"
-            continue
-        slots = [qr.noise_slot for qr in queries]
-        failing = _first_failing_set(slots, size, key_len)
-        if failing is None:
-            continue
-        gen = mds_generator(t_d, key_len, plan.q).generator
-        rows = [gen[slots[p - 1] - 1] for p in failing]
-        if mat_rank(rows, plan.q) == size:
-            raise RuntimeError(f"db {d}: failing set {list(failing)} has full rank")
-        entry.update(sets_tested=1, status="FAIL", certificate="witness",
-                     failing_set=list(failing))
-        status = "FAIL"
+    for d, (code, _, _, slots, _, size) in enumerate(_Wire(plan).dbs, start=1):
+        failing, exhaustive = None, size.denominator == 1
+        if not exhaustive:
+            certificate, failing = "non-integral", []
+        elif size == 0:
+            certificate = "empty"
+        elif (failing := _first_failing_set(slots, int(size), code.k)) is not None:
+            if mat_rank([code.generator[slots[p - 1]] for p in failing], plan.q) == size:
+                raise RuntimeError(f"db {d}: failing set {list(failing)} has full rank")
+            certificate, failing = "witness", list(failing)
+        else:
+            certificate = "mds"
+        entries.append({"database": d, "t": code.t, "key_len": code.k,
+                        "observation_size": int(size) if exhaustive else str(size),
+                        "sets_tested": int(certificate == "witness"), "exhaustive": exhaustive,
+                        "status": "PASS" if failing is None else "FAIL",
+                        "certificate": certificate, "failing_set": failing})
+    status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
     return {"audit": "security", "status": status, "databases": entries}
 
 
@@ -392,8 +392,9 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
     ``"side-information"``; see ``_Wire.certificate``).
 
     The trials then check the arithmetic.  The wire is compiled once;
-    each trial draws a fresh uniform store and key seed, executes the
-    plan and compares the decoded message to the stored one.  On a PASS
+    each trial draws a fresh uniform store and key seed, answers it
+    through the wire, decodes the answers and compares the decoded
+    message to the stored one; no eavesdropper view is drawn.  On a PASS
     all ``trials`` run.  A wrong decoder is another affine map, which
     agrees with the right one on a uniform input with probability at most
     1/q, so ``DEFAULT_TRIALS`` = 32 agreeing trials leave a miss chance of
@@ -413,7 +414,7 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
     for trial in range(runs):
         store = random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
         try:
-            decoded = wire.retrieve(store, key_seed=f"{seed}/keys/{trial}").decoded
+            decoded = wire.decode(wire.answer(store, key_seed=f"{seed}/keys/{trial}"))
         except ValueError as exc:
             if proved:
                 raise RuntimeError(f"trial {trial} of a plan proved decodable failed: {exc}") from exc

@@ -30,6 +30,22 @@ from .fieldmath import parse_rational
 # exact rationals; floats are rejected at the boundary.
 RationalLike = Union[int, Fraction, str]
 
+_SEQUENCE_BUDGET = 500_000  # cap on the sequences or schemes one search enumerates
+
+
+class EnumerationBudgetError(ValueError):
+    """Raised when a bound or scheme search would enumerate too many objects."""
+
+
+def check_enumeration_budget(formula: str, count: int, things: str) -> None:
+    """Refuse, before it starts, a search over ``count`` objects (counted
+    by ``formula``) beyond ``_SEQUENCE_BUDGET``."""
+    if count > _SEQUENCE_BUDGET:
+        raise EnumerationBudgetError(
+            f"enumeration too large: {formula} = {count} {things} exceeds the "
+            f"budget of {_SEQUENCE_BUDGET}"
+        )
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Convert to an exact Fraction, rejecting floats outright; a string
@@ -349,12 +365,15 @@ def best_scheme(M: int, N: int, mu: EavesdropProfile) -> tuple[GroupSequence, Fr
     """Exhaustive maximization of the achievable rate over all sequences.
 
     Ties go to the lexicographically smallest sequence (the enumeration
-    order), which keeps results deterministic.
+    order), which keeps results deterministic.  Raises
+    ``EnumerationBudgetError``, before enumerating, if the C(M+N-1, M)
+    sequences exceed ``_SEQUENCE_BUDGET``.
     """
     if M < 1 or N < 1:
         raise ValueError("need M >= 1 and N >= 1")
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
+    check_enumeration_budget("C(M+N-1, M)", comb(M + N - 1, M), "schemes")
     best_g: GroupSequence | None = None
     best_r: Fraction | None = None
     for g in enumerate_sequences(M, N):

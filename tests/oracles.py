@@ -12,6 +12,7 @@ signature diff, reads the package's stage counts.
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -405,13 +406,19 @@ def leakage_is_message_independent(plan) -> tuple[bool, int]:
         assert size.denominator == 1
         obs_sizes[d] = int(size)
     gens = {d: vandermonde(len(plan.databases[d - 1]), key_lens[d], q) for d in active}
+    # the README's per-message symbol permutations, "{seed}/perm/{m}"
+    perms = []
+    for m in range(1, M + 1):
+        ids = list(range(1, L + 1))
+        random.Random(f"{plan.seed}/perm/{m}").shuffle(ids)
+        perms.append(ids)
 
     def meaningful(d, store):
         out = []
         for qr in plan.databases[d - 1]:
             v = 0
             for m, s in qr.terms:
-                v += store[m - 1][plan.permutations[m - 1][s - 1] - 1]
+                v += store[m - 1][perms[m - 1][s - 1] - 1]
             out.append(v % q)
         return out
 

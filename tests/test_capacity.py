@@ -7,7 +7,8 @@ from math import gcd, lcm
 
 import pytest
 
-from wtcpir import capacity
+import wtcpir
+from wtcpir import capacity, schemes
 from wtcpir.capacity import (
     EnumerationBudgetError,
     constraint_coefficients,
@@ -289,6 +290,12 @@ def test_budget_error():
     mu = EavesdropProfile([0] * 5)
     with pytest.raises(EnumerationBudgetError, match="enumeration too large"):
         upper_bound(10, 5, mu)
+    # the scheme search is refused before it enumerates, with the error
+    # that capacity and the package export
+    assert wtcpir.EnumerationBudgetError is EnumerationBudgetError is schemes.EnumerationBudgetError
+    with pytest.raises(EnumerationBudgetError, match=(
+            r"^enumeration too large: C\(M\+N-1, M\) = 10015005 schemes exceeds the budget of 500000$")):
+        best_scheme(20, 10, EavesdropProfile([0] * 10))
 
 
 def test_upper_bound_monotone_in_eavesdropping():

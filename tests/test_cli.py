@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wtcpir
-from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json, planner
+from wtcpir import EavesdropProfile, audit_decodability, build_plan, plan_to_json, planner, protocol
 from wtcpir.cli import main
 
 import faults
@@ -108,6 +108,11 @@ def test_wrong_mu_count_is_usage_error(capsys):
         (["sweep", "-M", "3", "-N", "2", "--step", "0"], "need step > 0 and 0 <= mu-max < 1"),
         (["sweep", "-M", "3", "-N", "2", "--step", "x"], "not an exact rational: 'x'"),
         (["sweep", "-M", "3", "-N", "2", "--mu-max", "1"], "need step > 0 and 0 <= mu-max < 1"),
+        # refused before the search enumerates, not after about 20 minutes
+        (["scheme", "-M", "20", "-N", "10", "--mu", ",".join(["0"] * 10)],
+         "enumeration too large: C(M+N-1, M) = 10015005 schemes exceeds the budget of 500000"),
+        (["plan", "-M", "20", "-N", "10", "--mu", ",".join(["0"] * 10)],
+         "enumeration too large: C(M+N-1, M) = 10015005 schemes exceeds the budget of 500000"),
     ],
 )
 def test_bad_argument_values_are_usage_errors(capsys, argv, message):
@@ -316,8 +321,9 @@ def test_oversized_plans_are_usage_errors_at_once(tmp_path, capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("built a list of the plan's full size")
 
-    for name in ("_permutations_for", "_wire_order", "smallest_prime_at_least"):
+    for name in ("_wire_order", "smallest_prime_at_least"):
         monkeypatch.setattr(planner, name, refuse)
+    monkeypatch.setattr(protocol, "_permutations_for", refuse)
     for mu, total, L in faults.OVERSIZED:
         message = f"plan too large: it downloads {total} symbols (L={L}), over the budget of 1048576\n"
         doc["meta"]["mu"] = mu

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from wtcpir import protocol
 from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json, plan_violations
 from wtcpir.protocol import (
     MessageStore,
@@ -414,6 +415,33 @@ def test_decodability_trial_that_contradicts_the_proof_raises(monkeypatch):
     monkeypatch.setattr(_Wire, "certificate", lambda self: "singular")
     with pytest.raises(RuntimeError, match="^trial 0 decoded a plan refuted as singular$"):
         audit_decodability(plan, trials=3)
+
+
+def test_security_witness_with_full_rank_raises(monkeypatch):
+    # a "failing" set whose noise rows are independent contradicts the
+    # proof; the rows come from the wire's 0-based slots
+    monkeypatch.setattr(protocol, "_first_failing_set",
+                        lambda slots, size, key_len: tuple(range(1, size + 1)))
+    with pytest.raises(RuntimeError, match=r"^db 1: failing set \[1, 2, 3, 4\] has full rank$"):
+        audit_security(worked_plan())
+
+
+def test_only_run_retrieval_draws_eavesdropper_views(monkeypatch):
+    plan = worked_plan()
+    store = random_store(3, plan.dims.L, plan.q, seed=1)
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(str(seed))
+            super().__init__(seed)
+
+    monkeypatch.setattr(protocol.random, "Random", Recording)
+    audit_decodability(plan, trials=3)
+    assert seeds and not [s for s in seeds if "/view/" in s]
+    seeds.clear()
+    run_retrieval(plan, store, key_seed=5)
+    assert [s for s in seeds if "/view/" in s] == ["5/view/1", "5/view/2"]
 
 
 def test_decode_errors_keep_their_precedence():
