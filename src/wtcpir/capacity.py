@@ -262,28 +262,22 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     check_enumeration_budget("N^(M-1)", N ** (M - 1), "sequences")
     pool = _pool(M, N, mu)
-    order = {form: i for i, form in enumerate(pool)}
-
-    work: list[int] = []
-    for j in range(1, N + 1):
-        idx = order[constraint_coefficients((j,) * (M - 1), mu)]
-        if idx not in work:
-            work.append(idx)
+    work = list(dict.fromkeys(constraint_coefficients((j,) * (M - 1), mu) for j in range(1, N + 1)))
 
     # price every constraint at tau = t/T on integers: (a . t) / (D * T)
     while True:
-        value, tau, weights = _solve_restricted([pool[i] for i in work])
+        value, tau, weights = _solve_restricted(work)
         T = lcm(*(v.denominator for v in tau))
         t = [v.numerator * (T // v.denominator) for v in tau]
         best_num, best_den, argmin = _cheapest(pool, t)
         if Fraction(best_num, best_den * T) == value:
             break
-        work.append(argmin)
+        work.append(pool[argmin])
 
     # c . tau == value  <=>  (a . t) * value_den == value_num * D * T.
     # By complementary slackness every support constraint is tight, so only
     # tight sequences look it up; each support form keeps its first sequence.
-    support = {pool[i]: w for i, w in zip(work, weights) if w}
+    support = {form: w for form, w in zip(work, weights) if w}
     active, duals = [], []
     for n_vec in sequence_vectors(M, N):
         form = constraint_coefficients(n_vec, mu)

@@ -53,7 +53,6 @@ from .schemes import (
     achievable_rate,
     best_scheme,
     derive_groups,
-    enumerate_sequences,
     repetition_factor,
     traffic_vector,
 )
@@ -146,7 +145,7 @@ def _capacity_report(M: int, N: int, mu: EavesdropProfile) -> dict:
         "gap": _exact(ub.value - rate),
         "argmax_tau": [str(v) for v in ub.argmax_tau],
         "best_n": list(g.n),
-        "active_idx": list(enumerate_sequences(M, N)).index(g),
+        "active_idx": list(combinations_with_replacement(range(1, N + 1), M)).index(g.n),
     }
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
 from .fieldmath import parse_rational
@@ -56,17 +56,6 @@ def as_fraction(value: RationalLike) -> Fraction:
             "rational such as Fraction(1, 3) or the string '1/3'"
         )
     return parse_rational(value) if isinstance(value, str) else Fraction(value)
-
-
-def _seed_factor(M: int, s: int) -> int:
-    """The factor binom(M-2, s-1) with the s = 0 factor defined as 1.
-
-    The convention is forced by the worked schemes: a first group of
-    singles always contributes one sweep, not zero.
-    """
-    if s == 0:
-        return 1
-    return comb(M - 2, s - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +113,9 @@ class GroupSequence:
     - ``S``: the group set {i >= 0 : n_i - n_{i-1} > 0} with n_{-1} = 0.
       Group ``l`` covers databases n_{l-1}+1 .. n_l; index 0 is always
       present.
-    - ``xi``: per-group impulse weights, xi_l = prod over s in S minus {l}
-      of the seed factor binom(M-2, s-1) (s = 0 factor := 1).
+    - ``xi``: per-group impulse weights, xi_l = (prod over s in S of f_s)
+      // f_l, with the seed factor f_s = binom(M-2, s-1) for s >= 1 and
+      f_0 = 1.  The division is exact, as every f_s >= 1.
     """
 
     n: tuple[int, ...]
@@ -158,16 +148,12 @@ class GroupSequence:
                 groups.append(i)
             prev = v
         S = tuple(groups)
-        factors = {s: _seed_factor(M, s) for s in S}
-        xi = {}
-        for l in S:
-            w = 1
-            for s in S:
-                if s != l:
-                    w *= factors[s]
-            xi[l] = w
+        # f_0 := 1, forced by the worked schemes: a first group of singles
+        # always contributes one sweep, not zero
+        factors = {s: comb(M - 2, s - 1) if s else 1 for s in S}
+        product = prod(factors.values())
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "xi", {l: product // f for l, f in factors.items()})
 
     @property
     def M(self) -> int:
@@ -175,19 +161,13 @@ class GroupSequence:
 
     def width(self, l: int) -> int:
         """Number of databases in group l: n_l - n_{l-1}."""
-        prev = 0 if l == 0 else self.n[l - 1]
-        return self.n[l] - prev
+        return len(self.databases_in_group(l))
 
     def group_of(self, db: int) -> int | None:
         """Group index for 1-based database db, or None if db is inactive."""
         if not 1 <= db <= self.N:
             raise ValueError(f"database index {db} out of range 1..{self.N}")
-        prev = 0
-        for l in self.S:
-            if prev < db <= self.n[l]:
-                return l
-            prev = self.n[l]
-        return None
+        return next((l for l in self.S if db in self.databases_in_group(l)), None)
 
     def databases_in_group(self, l: int) -> range:
         """1-based databases covered by group l."""
@@ -225,35 +205,28 @@ class StageCounts:
 def stage_counts(g: GroupSequence) -> StageCounts:
     """Solve the stage-count difference equations for a group sequence.
 
-    For k >= 2 and each group l in S,
+    For k >= 2 and each group l in S with l < k, every stage of round k-1
+    at every other database feeds one stage:
 
-        y_l[k] = (width(l) - 1) * y_l[k-1]
-                 + sum over other groups j of width(j) * y_j[k-1]
-                 + n_0 * xi_l   when l >= 2 and k = l + 1 (impulse),
+        y_l[k] = total_k - y_l[k-1] + n_0 * xi_l [impulse: l >= 2, k = l+1],
+        total_k = sum over groups j of width(j) * y_j[k-1],
 
-    seeded by y_0[1] = prod over s in S of the seed factor.  The initial
-    conditions y_j[k] = 0 for k <= j take precedence over the recurrence:
-    group j only starts producing stages in round j + 1.  Memoised, like
+    which is the paper's (width(l) - 1) * y_l[k-1] + sum over j != l of
+    width(j) * y_j[k-1], plus the impulse.  The seed is y_0[1] = xi_0, the
+    full seed-factor product, as f_0 = 1.  The initial conditions
+    y_j[k] = 0 for k <= j take precedence over the recurrence: group j only
+    starts producing stages in round j + 1.  Memoised, like
     ``plan_dimensions_per_rep``: the counts depend on the sequence alone.
     """
     M = g.M
     y: dict[tuple[int, int], int] = {(l, k): 0 for l in g.S for k in range(1, M + 1)}
-    seed = 1
-    for s in g.S:
-        seed *= _seed_factor(M, s)
-    y[(0, 1)] = seed
+    y[(0, 1)] = g.xi[0]
     for k in range(2, M + 1):
-        prev = {l: y[(l, k - 1)] for l in g.S}
+        total = sum(g.width(j) * y[(j, k - 1)] for j in g.S)
         for l in g.S:
-            if k <= l:
-                continue  # initial condition wins over the recurrence
-            total = (g.width(l) - 1) * prev[l]
-            for j in g.S:
-                if j != l:
-                    total += g.width(j) * prev[j]
-            if l >= 2 and k == l + 1:
-                total += g.n[0] * g.xi[l]
-            y[(l, k)] = total
+            if k > l:  # else the initial condition wins over the recurrence
+                impulse = g.n[0] * g.xi[l] if l >= 2 and k == l + 1 else 0
+                y[(l, k)] = total - y[(l, k - 1)] + impulse
     return StageCounts(y=y)
 
 
@@ -300,16 +273,13 @@ def plan_dimensions_per_rep(g: GroupSequence) -> tuple[tuple[int, ...], int]:
     d_group = {
         l: sum(comb(M, k) * sc.of(l, k) for k in range(1, M + 1)) for l in g.S
     }
-    D = []
-    for db in range(1, g.N + 1):
-        l = g.group_of(db)
-        D.append(d_group[l] if l is not None else 0)
+    D = tuple(d_group.get(g.group_of(db), 0) for db in range(1, g.N + 1))
     L = sum(
         comb(M - 1, k - 1) * sc.of(l, k) * g.width(l)
         for l in g.S
         for k in range(1, M + 1)
     )
-    return tuple(D), L
+    return D, L
 
 
 def repetition_factor(g: GroupSequence, mu: EavesdropProfile) -> PlanDimensions:
@@ -374,12 +344,7 @@ def best_scheme(M: int, N: int, mu: EavesdropProfile) -> tuple[GroupSequence, Fr
     if mu.N != N:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     check_enumeration_budget("C(M+N-1, M)", comb(M + N - 1, M), "schemes")
-    best_g: GroupSequence | None = None
-    best_r: Fraction | None = None
-    for g in enumerate_sequences(M, N):
-        r = achievable_rate(g, mu)
-        if best_r is None or r > best_r:
-            best_g, best_r = g, r
-    assert best_g is not None and best_r is not None
-    return best_g, best_r
+    rate = {g: achievable_rate(g, mu) for g in enumerate_sequences(M, N)}
+    best = max(rate, key=rate.get)  # the first of equal maxima
+    return best, rate[best]
 

@@ -116,6 +116,58 @@ def n2_rate_formula(M: int, s2: int, mu) -> Fraction:
     return Fraction(num) / (den_x * x + den_y * y)
 
 
+def stage_counts_by_pairs(g) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """Stage counts y_l[k] and impulse weights xi_l of the sequence g.n by
+    the pairwise recurrence: group l's own stages weigh width(l) - 1, each
+    other group j's weigh width(j), and xi_l multiplies the seed factors
+    of every other group.  Reads g.n alone."""
+    from math import comb
+
+    def seed_factor(M: int, s: int) -> int:
+        if s == 0:
+            return 1
+        return comb(M - 2, s - 1)
+
+    def width(l: int) -> int:
+        prev = 0 if l == 0 else g.n[l - 1]
+        return g.n[l] - prev
+
+    M = len(g.n)
+    prev = 0
+    groups = []
+    for i, v in enumerate(g.n):
+        if v - prev > 0:
+            groups.append(i)
+        prev = v
+    S = tuple(groups)
+    factors = {s: seed_factor(M, s) for s in S}
+    xi = {}
+    for l in S:
+        w = 1
+        for s in S:
+            if s != l:
+                w *= factors[s]
+        xi[l] = w
+    y = {(l, k): 0 for l in S for k in range(1, M + 1)}
+    seed = 1
+    for s in S:
+        seed *= seed_factor(M, s)
+    y[(0, 1)] = seed
+    for k in range(2, M + 1):
+        prev = {l: y[(l, k - 1)] for l in S}
+        for l in S:
+            if k <= l:
+                continue  # initial condition wins over the recurrence
+            total = (width(l) - 1) * prev[l]
+            for j in S:
+                if j != l:
+                    total += width(j) * prev[j]
+            if l >= 2 and k == l + 1:
+                total += g.n[0] * xi[l]
+            y[(l, k)] = total
+    return y, xi
+
+
 def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
     """LP constraint coefficients of sequence n_vec, straight from the
     prefix-product definition in ``Fraction`` arithmetic: with P_0 = 1,

@@ -23,7 +23,7 @@ from wtcpir.schemes import (
     traffic_vector,
 )
 
-from oracles import classic_rate, m2n3_rates, m4n2_rates, n2_rate_formula, M2N3_SEQUENCES
+from oracles import classic_rate, m2n3_rates, m4n2_rates, n2_rate_formula, stage_counts_by_pairs, M2N3_SEQUENCES
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 
@@ -122,6 +122,16 @@ def test_stage_count_goldens():
         sc = stage_counts(g)
         for group, expected in rows.items():
             assert sc.row(group, M) == expected, (vec, group)
+
+
+def test_stage_counts_match_the_pairwise_recurrence():
+    # every monotone sequence up to M = 8, N = 5, late-joining groups
+    # l >= 2 and their impulse stages among them
+    for M in range(1, 9):
+        for N in range(1, 6):
+            for g in enumerate_sequences(M, N):
+                y, xi = stage_counts_by_pairs(g)
+                assert stage_counts(g).y == y and g.xi == xi, g.n
 
 
 def test_dimension_goldens():
