@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -52,6 +53,7 @@ from .schemes import (
     EavesdropProfile,
     achievable_rate,
     best_scheme,
+    check_enumeration_budget,
     derive_groups,
     repetition_factor,
     traffic_vector,
@@ -176,7 +178,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_scheme(args) -> int:
     mu = _parse_mu(args.mu, args.N, args.sort_mu)
-    if args.n:
+    if args.n is not None:
         g = _parse_n(args.n, args.M, args.N)
         rate = achievable_rate(g, mu)
     else:
@@ -201,7 +203,7 @@ def cmd_scheme(args) -> int:
 
 def cmd_plan(args) -> int:
     mu = _parse_mu(args.mu, args.N, args.sort_mu)
-    if args.n:
+    if args.n is not None:
         g = _parse_n(args.n, args.M, args.N)
     else:
         g, _ = best_scheme(args.M, args.N, mu)
@@ -288,6 +290,8 @@ def cmd_sweep(args) -> int:
     mu_max = parse_rational(args.mu_max)
     if step <= 0 or mu_max < 0 or mu_max >= 1:
         raise ValueError("need step > 0 and 0 <= mu-max < 1")
+    G = mu_max // step + 1  # grid points
+    check_enumeration_budget("C(G+N-1, N)", comb(G + args.N - 1, args.N), "profiles")
     grid = []
     v = Fraction(0)
     while v <= mu_max:

@@ -26,7 +26,7 @@ import reprlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 from typing import Sequence
 
@@ -251,23 +251,19 @@ def build_plan(
     if q is None:
         q = smallest_prime_at_least(max(dims.t) + 1)
 
-    active = g.active_databases
     counters = {m: 0 for m in range(1, M + 1)}
 
     def fresh(m: int) -> tuple[int, int]:
         counters[m] += 1
         return (m, counters[m])
 
-    # stages by (rep, database, round), in construction order; each maps
-    # every k-subset of messages to the terms downloaded
-    stage_sets: dict[tuple[int, int, int], list[dict[frozenset[int], tuple]]] = {}
     # each database's downloads in construction order (an idle one has none)
     made: dict[int, list[tuple]] = {d: [] for d in range(1, N + 1)}
 
-    def stage(d: int, rep: int, k: int, side_of) -> None:
-        """One stage: every k-subset is a sum of fresh undesired symbols, or
-        one fresh desired symbol plus the side terms ``side_of`` supplies
-        for the rest of the subset."""
+    def stage(d: int, k: int, side_of) -> dict[frozenset[int], tuple]:
+        """One stage, mapping every k-subset of messages to the terms it
+        downloads: a sum of fresh undesired symbols, or one fresh desired
+        symbol plus the side terms ``side_of`` supplies for the rest."""
         terms_of: dict[frozenset[int], tuple] = {}
         for tup in combinations(range(1, M + 1), k):
             su = frozenset(tup)
@@ -275,42 +271,35 @@ def build_plan(
                 terms_of[su] = tuple(sorted(side_of(su - {desired}) + (fresh(desired),)))
             else:
                 terms_of[su] = tuple(fresh(m) for m in tup)
-        stage_sets.setdefault((rep, d, k), []).append(terms_of)
         made[d].extend(terms_of.values())
+        return terms_of
 
-    for rep in range(1, dims.nu + 1):
+    for _ in range(dims.nu):
+        prev: dict[int, list[dict]] = {}  # each database's stages of the round before
         for k in range(1, M + 1):
-            for d in active:
+            cur = {}
+            for d in g.active_databases:
                 group = g.group_of(d)
-                if k == 1:
-                    if group == 0:
-                        for _ in range(y01):
-                            stage(d, rep, 1, lambda rest: ())
-                elif group < k:
-                    # a group-l database only participates from round l+1 on
-                    for dp in active:
-                        if dp == d:
-                            continue
-                        for sigma in stage_sets.get((rep, dp, k - 1), []):
-                            stage(d, rep, k, sigma.get)
-                    if group >= 2 and k == group + 1:
-                        # late joiners take their side information from the
-                        # round-1 singles, first in first out
-                        pools = {
-                            m: deque(
-                                sigma[frozenset({m})][0]
-                                for dp in g.databases_in_group(0)
-                                for sigma in stage_sets[(rep, dp, 1)]
-                            )
-                            for m in range(1, M + 1)
-                            if m != desired
-                        }
+                if group >= k:
+                    continue  # a group-l database only participates from round l+1 on
+                # one side-information supplier per stage: the round-1 seeds,
+                # then every other database's stages of round k-1
+                sides = [lambda rest: ()] * y01 if k == 1 else []
+                sides += [sigma.get for dp, stages in prev.items() if dp != d for sigma in stages]
+                if group >= 2 and k == group + 1:
+                    # late joiners take their side information from the
+                    # round-1 singles, first in first out
+                    pools = {m: deque(sigma[frozenset({m})][0] for sigma in singles)
+                             for m in range(1, M + 1) if m != desired}
 
-                        def pop(rest: frozenset[int]) -> tuple:
-                            return tuple(pools[m].popleft() for m in sorted(rest))
+                    def pop(rest: frozenset[int]) -> tuple:
+                        return tuple(pools[m].popleft() for m in sorted(rest))
 
-                        for _ in range(g.n[0] * g.xi[group]):
-                            stage(d, rep, k, pop)
+                    sides += [pop] * (g.n[0] * g.xi[group])
+                cur[d] = [stage(d, k, side_of) for side_of in sides]
+            if k == 1:
+                singles = [sigma for stages in cur.values() for sigma in stages]
+            prev = cur
 
     databases = tuple(
         tuple(Query(terms=terms[ci] if ci < len(terms) else PURE_NOISE, noise_slot=p)
@@ -470,11 +459,13 @@ def plan_to_table(plan: QueryPlan) -> str:
     blocks, then its pure-noise downloads in wire order in a final block.
     Built and loaded plans render alike, and every query appears exactly
     once.  Symbols are labeled a_i, b_i, ... by message and u_j, v_j, ...
-    by database noise slot.
+    by database noise slot.  A plan that downloads nothing renders as the
+    two header lines alone.
     """
     columns = tuple(d for d in range(1, plan.N + 1) if plan.databases[d - 1])
     nu = plan.dims.nu
-    reps: dict[int, list[list[str]]] = {}
+    noisy = any(qr.is_pure_noise for queries in plan.databases for qr in queries)
+    cells = []  # per column, its cells block by block, each block headed by its label
     for d in columns:
         queries = plan.databases[d - 1]
         order = _wire_order(plan.seed, d, len(queries))
@@ -484,33 +475,18 @@ def plan_to_table(plan: QueryPlan) -> str:
             if not qr.is_pure_noise
         ]
         per_rep = -(-len(meaningful) // nu)
-        reps[d] = [meaningful[r * per_rep:(r + 1) * per_rep] for r in range(nu)]
-
-    col_cells: dict[int, list[str]] = {d: [] for d in columns}
-    for r in range(nu):
-        width = max(len(reps[d][r]) for d in columns)
-        for d in columns:
-            if nu > 1:
-                col_cells[d].append(f"(repetition {r + 1})")
-            col_cells[d].extend(reps[d][r] + [""] * (width - len(reps[d][r])))
-    noise = {
-        d: [_render_query(qr, d) for qr in plan.databases[d - 1] if qr.is_pure_noise]
-        for d in columns
-    }
-    if any(noise.values()):
-        for d in columns:
-            col_cells[d].append("(artificial noise)")
-            col_cells[d].extend(noise[d])
-
-    height = max((len(cells) for cells in col_cells.values()), default=0)
-    for d in columns:
-        col_cells[d].extend([""] * (height - len(col_cells[d])))
+        cells.append([[f"(repetition {r + 1})"] * (nu > 1) + meaningful[r * per_rep:(r + 1) * per_rep]
+                      for r in range(nu)])
+        if noisy:
+            cells[-1].append(["(artificial noise)"]
+                             + [_render_query(qr, d) for qr in queries if qr.is_pure_noise])
     lines = [
         "| " + " | ".join(f"Database {d}" for d in columns) + " |",
         "| " + " | ".join("---" for _ in columns) + " |",
     ]
-    for i in range(height):
-        lines.append("| " + " | ".join(col_cells[d][i] for d in columns) + " |")
+    # each block is padded to its longest column; with no column there is no row
+    for block in zip(*cells):
+        lines += ("| " + " | ".join(row) + " |" for row in zip_longest(*block, fillvalue=""))
     return "\n".join(lines) + "\n"
 
 

@@ -113,10 +113,21 @@ def test_wrong_mu_count_is_usage_error(capsys):
          "enumeration too large: C(M+N-1, M) = 10015005 schemes exceeds the budget of 500000"),
         (["plan", "-M", "20", "-N", "10", "--mu", ",".join(["0"] * 10)],
          "enumeration too large: C(M+N-1, M) = 10015005 schemes exceeds the budget of 500000"),
+        # refused before the 500001-point grid is built, not after its rows
+        (["sweep", "-M", "3", "-N", "2", "--step", "1/1000000", "--mu-max", "1/2"],
+         "enumeration too large: C(G+N-1, N) = 125000750001 profiles exceeds the budget of 500000"),
     ],
 )
 def test_bad_argument_values_are_usage_errors(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_blank_sequence_is_usage_error(capsys):
+    # an empty --n is refused like a blank one, not read as "no --n given"
+    for command in ("scheme", "plan"):
+        for n in ("", " "):
+            argv = [command, "-M", "3", "-N", "2", "--mu", "1/4,1/2", "--n", n]
+            assert run_cli(capsys, *argv) == (2, "", "error: --n entries must be integers, got ''\n")
 
 
 def test_non_integer_sequence_entry_is_usage_error(capsys):

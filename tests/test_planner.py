@@ -118,29 +118,42 @@ def test_generator_scope_and_rate_accounting():
                 assert plan_stats(plan)["rate"] == achievable_rate(g, mu)
 
 
-def test_plans_match_golden_digest():
-    # JSON and table text of 172 plans, pinned byte for byte: every monotone
-    # sequence for M in 2..4 and N in 2..3, two profiles, desired 1 and M
+def plans_digest(shapes) -> tuple[int, str]:
+    """Count and SHA-256 of the JSON and table text of every monotone
+    sequence's plan at each (M, N), two profiles, desired 1 and M; each
+    plan must load back to itself and render alike."""
     digest = hashlib.sha256()
     count = 0
-    for M in range(2, 5):
-        for N in range(2, 4):
-            profiles = [
-                EavesdropProfile([0] * N),
-                EavesdropProfile([Fraction(2**i - 1, 2**i) for i in range(1, N + 1)]),
-            ]
-            for mu in profiles:
-                for g in enumerate_sequences(M, N):
-                    for desired in (1, M):
-                        plan = build_plan(M, N, g, mu, desired=desired, seed=10 * M + N)
-                        doc, table = plan_to_json(plan), plan_to_table(plan)
-                        loaded = plan_from_json(doc)
-                        assert loaded == plan and plan_to_table(loaded) == table
-                        digest.update(doc.encode())
-                        digest.update(table.encode())
-                        count += 1
-    assert count == 172
-    assert digest.hexdigest() == "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468"
+    for M, N in shapes:
+        profiles = [
+            EavesdropProfile([0] * N),
+            EavesdropProfile([Fraction(2**i - 1, 2**i) for i in range(1, N + 1)]),
+        ]
+        for mu in profiles:
+            for g in enumerate_sequences(M, N):
+                for desired in (1, M):
+                    plan = build_plan(M, N, g, mu, desired=desired, seed=10 * M + N)
+                    doc, table = plan_to_json(plan), plan_to_table(plan)
+                    loaded = plan_from_json(doc)
+                    assert loaded == plan and plan_to_table(loaded) == table
+                    digest.update(doc.encode())
+                    digest.update(table.encode())
+                    count += 1
+    return count, digest.hexdigest()
+
+
+def test_plans_match_golden_digest():
+    # JSON and table text of 172 plans, pinned byte for byte: every monotone
+    # sequence for M in 2..4 and N in 2..3
+    assert plans_digest((M, N) for M in range(2, 5) for N in range(2, 4)) == (
+        172, "0d9996542fbd60ac832907c7c7410f24207607737974ad3e19fd0d91350a2468")
+
+
+def test_larger_plans_match_golden_digest():
+    # 304 more plans: at N=4 several databases join late, each impulse stage
+    # drawing on its own round-1 pools
+    assert plans_digest([(5, 3), (3, 4), (4, 4)]) == (
+        304, "313c5f2ef150b98fe0f2d41b0e9bea2c806220ce5b9d13f680ce9a99991166e2")
 
 
 STRUCTURE_SHAPES = (
@@ -499,6 +512,18 @@ def test_table_rendering():
         cells = sorted(row[1].rstrip(" |") for row in rows)
         want = sorted(_render_query(qr, 2) for qr in queries)
         assert [c for c in cells if c and not c.startswith("(")] == want
+
+
+def test_table_of_a_plan_that_downloads_nothing():
+    # the worked plan (nu = 3) with every query dropped: no column, so no
+    # repetition or noise header row either
+    plan = worked_plan()
+    doc = json.loads(plan_to_json(plan))
+    for db in doc["databases"]:
+        db["queries"] = []
+    empty = plan_from_json(doc)
+    assert empty.dims.nu == 3
+    assert plan_to_table(empty) == "|  |\n|  |\n"
 
 
 def test_trivial_scheme_omits_idle_databases():
