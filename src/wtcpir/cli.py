@@ -43,6 +43,7 @@ from .planner import (
 )
 from .protocol import (
     DEFAULT_TRIALS,
+    _Wire,
     audit_decodability,
     audit_privacy,
     audit_security,
@@ -267,13 +268,14 @@ def cmd_audit(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     plan = _load_plan(args.plan)
     violations = plan_violations(plan)
+    wire = _Wire(plan)
     audits = {
         "privacy": audit_privacy([
             build_plan(plan.M, plan.N, plan.group_sequence, plan.mu, desired=i, seed=plan.seed)
             for i in range(1, plan.M + 1)
         ]),
-        "security": audit_security(plan),
-        "decodability": audit_decodability(plan, trials=args.trials, seed=args.seed),
+        "security": audit_security(plan, wire=wire),
+        "decodability": audit_decodability(plan, trials=args.trials, seed=args.seed, wire=wire),
         "structure": {
             "audit": "structure",
             "status": "FAIL" if violations else "PASS",
@@ -393,6 +395,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand that takes -M and -N refuses a count below 1
+        # before any other work reads it
+        if min(getattr(args, "M", 1), getattr(args, "N", 1)) < 1:
+            raise ValueError("need M >= 1 and N >= 1")
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

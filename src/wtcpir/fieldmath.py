@@ -90,6 +90,13 @@ def _pack(row: Sequence[int], w: int) -> int:
     return x
 
 
+def _slot_width(n: int, q: int) -> int:
+    """Bits per slot of a packed row that never carries while it sums an
+    entry below q and at most n products below (q−1)²: the W of
+    ``_echelon`` over n rows, and of ``mat_solve``'s back-substitution."""
+    return (q - 1 + n * (q - 1) ** 2).bit_length()
+
+
 def _echelon(m: list[list[int]], q: int) -> Iterator[tuple[int, list[int]]]:
     """Forward elimination over GF(q) of the rows ``m`` (entries in [0, q)).
     For each pivot column ``c``, in order, yield ``(c, tail)``: the pivot
@@ -101,7 +108,7 @@ def _echelon(m: list[list[int]], q: int) -> Iterator[tuple[int, list[int]]]:
     gains at most (q−1)² from each of at most n−1 other pivots, so it stays
     below 2^W > q−1 + n·(q−1)², where n = len(m).
     """
-    w = (q - 1 + len(m) * (q - 1) ** 2).bit_length()
+    w = _slot_width(len(m), q)
     mask = (1 << w) - 1
     rows = [_pack(r, w) for r in m]
     width = len(m[0]) if m else 0
@@ -124,23 +131,38 @@ def mat_rank(rows: Sequence[Sequence[int]], q: int) -> int:
     return sum(1 for _ in _echelon([[v % q for v in row] for row in rows], q))
 
 
-def mat_solve(a: Sequence[Sequence[int]], b: Sequence[int], q: int) -> list[int]:
-    """Solve the square system a·x = b over GF(q): forward elimination of
-    the augmented matrix, then back-substitution over its pivot rows.
+def mat_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    """Solve a·X = B over GF(q) for a square n×n matrix ``a`` and any
+    number r of right-hand sides: ``b`` and the result are n×r row lists,
+    so one system passes one column, ``[[b_1], …, [b_n]]``.
 
-    Raises ``ValueError`` if the matrix is singular.
+    One forward elimination of the augmented matrix [a | B] serves every
+    column.  Back-substitution then runs over its pivot rows with each
+    solved row of X packed into one int (``_pack``), so a pivot's update
+    of all r columns is one multiply-add per later unknown.  A slot sums
+    at most n−1 products below (q−1)², which fits the slot width of
+    ``_echelon`` over these n rows: that width depends on the row count
+    alone, so more columns need no wider slots.
+
+    Raises ``ValueError`` if the matrix is singular, whatever r is.
     """
     n = len(a)
-    aug = [[v % q for v in row] + [bv % q] for row, bv in zip(a, b)]
-    # pivot columns increase, so n pivots left of the right-hand side
+    aug = [[v % q for v in row] + [v % q for v in rhs] for row, rhs in zip(a, b)]
+    # pivot columns increase, so n pivots left of the right-hand sides
     # means one in every column
     tails = [tail for c, tail in _echelon(aug, q) if c < n]
     if len(tails) != n:
         raise ValueError("singular system")
-    x: list[int] = []
-    for tail in reversed(tails):
-        # tail = (coefficients of the later unknowns, right-hand side)
-        x.insert(0, (tail[-1] - sum(map(mul, tail, x))) % q)
+    w = _slot_width(n, q)
+    mask = (1 << w) - 1
+    x: list[list[int]] = []
+    packed: list[int] = []
+    for k, tail in enumerate(reversed(tails)):
+        # tail = (coefficients of the k later unknowns, right-hand sides)
+        s = sum(map(mul, tail, packed))
+        row = [(v - (s >> j * w & mask)) % q for j, v in enumerate(tail[k:])]
+        x.insert(0, row)
+        packed.insert(0, _pack(row, w))
     return x
 
 

@@ -23,6 +23,11 @@ Audits check the three scheme guarantees directly on wire data:
   the compiled wire (the decoder is linear: distinct pure-noise slots make
   each noise interpolation invertible, and side information is subtracted
   as identical sums), with seeded retrievals as a check of the arithmetic.
+
+The decoder takes a batch of answer sets.  A database's interpolation
+matrix is the same in every set, so one elimination per keyed database
+decodes the whole batch: the decodability trials are answered one by one
+and decoded together, and a single retrieval is a batch of one.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ class _Wire:
     resolved them.  ``error`` is the first decode failure the plan forces
     (missing side information, else a wrong count of recovered desired
     slots), or None.  ``answer`` masks a store's sums with noise, and
-    ``decode`` strips it.
+    ``decode`` strips it from a batch of answer sets.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
@@ -184,32 +189,45 @@ class _Wire:
                                   for slot, idx in zip(slots, terms)]))
         return answers
 
-    def decode(self, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    def decode(self, batch: Sequence[Sequence[Sequence[int]]]) -> list[tuple[int, ...]]:
+        """The desired message of each answer set in ``batch`` (one answer
+        row per database).  Per database, in order: check every set's
+        answer count, interpolate every set's key in one ``mat_solve``
+        call (the matrix, the generator rows at the pure-noise slots, is
+        the same in every set; each set adds one right-hand-side column),
+        and strip each set's noise.  Then run the side-information program
+        per set."""
         plan = self.plan
-        if len(answers) != plan.N:
-            raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
+        for answers in batch:
+            if len(answers) != plan.N:
+                raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
         q = plan.q
-        values: list[int] = []
-        for d, (db, row) in enumerate(zip(self.dbs, answers), start=1):
-            code, noise_at, rows, slots, _, _ = db
-            if len(row) != len(slots):
-                raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
-            key = ()
+        values: list[list[int]] = [[] for _ in batch]
+        for d, (code, noise_at, rows, slots, _, _) in enumerate(self.dbs, start=1):
+            got = [answers[d - 1] for answers in batch]
+            for row in got:
+                if len(row) != len(slots):
+                    raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
+            keys = [()] * len(batch)
             if code.k:
                 try:
-                    key = mat_solve(rows, [row[i] for i in noise_at], q)
+                    keys = list(zip(*mat_solve(rows, [[row[i] for row in got] for i in noise_at], q)))
                 except ValueError as exc:
                     raise ValueError(
                         f"db {d}: noise interpolation is singular — plan or answers corrupted"
                     ) from exc
-            noise = code.encode(key)
-            values += [(a - noise[slot]) % q for a, slot in zip(row, slots)]
+            for vals, row, key in zip(values, got, keys):
+                noise = code.encode(key)
+                vals += [(a - noise[slot]) % q for a, slot in zip(row, slots)]
         if self.error:
             raise ValueError(self.error)
-        out = [0] * plan.dims.L
-        for phys, pos, subtract in self.program:
-            out[phys] = (values[pos] - sum(map(values.__getitem__, subtract))) % q
-        return tuple(out)
+        decoded = []
+        for vals in values:
+            out = [0] * plan.dims.L
+            for phys, pos, subtract in self.program:
+                out[phys] = (vals[pos] - sum(map(vals.__getitem__, subtract))) % q
+            decoded.append(tuple(out))
+        return decoded
 
 
 def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
@@ -236,7 +254,7 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
         values.append(tuple(row[p - 1] for p in taps))
     return Transcript(
         answers=tuple(answers),
-        decoded=wire.decode(answers),
+        decoded=wire.decode([answers])[0],
         eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(values)),
     )
 
@@ -260,7 +278,7 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
         interpolation is singular, or side information is
         missing/unresolvable (an internal error for honest plans).
     """
-    return _Wire(plan).decode(answers)
+    return _Wire(plan).decode([answers])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +343,7 @@ def _first_failing_set(slots: Sequence[int], size: int, key_len: int) -> tuple[i
     return min(map(completion, cores), default=None)
 
 
-def audit_security(plan: QueryPlan) -> dict:
+def audit_security(plan: QueryPlan, *, wire: _Wire | None = None) -> dict:
     """Prove that every eavesdropper observation looks uniform.
 
     Per database, the eavesdropper taps |S_n| = mu_n * t_n wire positions.
@@ -343,9 +361,12 @@ def audit_security(plan: QueryPlan) -> dict:
     empty failing set (``"non-integral"``); an empty observation passes
     vacuously (``"empty"``).  Every verdict covers all sets
     (``exhaustive``), and ``sets_tested`` counts the rank checks run.
+    ``wire``, if given, must be ``_Wire(plan)``; else it is compiled here.
     """
     entries = []
-    for d, (code, _, _, slots, _, size) in enumerate(_Wire(plan).dbs, start=1):
+    if wire is None:
+        wire = _Wire(plan)
+    for d, (code, _, _, slots, _, size) in enumerate(wire.dbs, start=1):
         failing, exhaustive = None, size.denominator == 1
         if not exhaustive:
             certificate, failing = "non-integral", []
@@ -366,7 +387,8 @@ def audit_security(plan: QueryPlan) -> dict:
     return {"audit": "security", "status": status, "databases": entries}
 
 
-def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int = 0) -> dict:
+def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int = 0, *,
+                       wire: _Wire | None = None) -> dict:
     """Prove that every retrieval decodes exactly, and check the proof
     against seeded retrievals.
 
@@ -391,10 +413,15 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
     failing condition (``"non-integral"``, ``"singular"`` or
     ``"side-information"``; see ``_Wire.certificate``).
 
-    The trials then check the arithmetic.  The wire is compiled once;
-    each trial draws a fresh uniform store and key seed, answers it
-    through the wire, decodes the answers and compares the decoded
-    message to the stored one; no eavesdropper view is drawn.  On a PASS
+    The trials then check the arithmetic, through one compiled wire:
+    ``wire`` if given (it must be ``_Wire(plan)``), else compiled here.
+    Each trial draws a fresh uniform store (``"{seed}/store/{trial}"``)
+    and key seed (``"{seed}/keys/{trial}"``), and the wire answers the
+    trials one by one.  It then decodes all of them in one call, one
+    elimination per keyed database, and each decoded message is compared
+    to its trial's stored one; no eavesdropper view is drawn.  Every
+    error the wire raises on its own answers comes from the plan alone,
+    the same in every trial, so it is charged to trial 0.  On a PASS
     all ``trials`` run.  A wrong decoder is another affine map, which
     agrees with the right one on a uniform input with probability at most
     1/q, so ``DEFAULT_TRIALS`` = 32 agreeing trials leave a miss chance of
@@ -406,27 +433,32 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
     """
     if trials < 1:
         raise ValueError(f"decodability needs at least 1 trial, got {trials}")
-    wire = _Wire(plan)
+    if wire is None:
+        wire = _Wire(plan)
     certificate = wire.certificate()
     proved = certificate == "linear"
     runs = trials if proved else 1
+    stores = [random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
+              for trial in range(runs)]
     failures = []
-    for trial in range(runs):
-        store = random_store(plan.M, plan.dims.L, plan.q, f"{seed}/store/{trial}")
-        try:
-            decoded = wire.decode(wire.answer(store, key_seed=f"{seed}/keys/{trial}"))
-        except ValueError as exc:
-            if proved:
-                raise RuntimeError(f"trial {trial} of a plan proved decodable failed: {exc}") from exc
-            failures.append({"trial": trial, "error": str(exc)})
-            continue
+    try:
+        decoded = wire.decode([wire.answer(store, key_seed=f"{seed}/keys/{trial}")
+                               for trial, store in enumerate(stores)])
+    except ValueError as exc:
+        # every error the wire raises on its own answers comes from the
+        # plan alone, so trial 0 is the first trial it fails
+        if proved:
+            raise RuntimeError(f"trial 0 of a plan proved decodable failed: {exc}") from exc
+        failures.append({"trial": 0, "error": str(exc)})
+    else:
         if not proved:
-            raise RuntimeError(f"trial {trial} decoded a plan refuted as {certificate}")
-        want = store.messages[plan.desired - 1]
-        if decoded != want:
-            wrong = [i + 1 for i, (a, b) in enumerate(zip(decoded, want)) if a != b]
-            raise RuntimeError(
-                f"trial {trial} of a plan proved decodable got symbols {wrong[:8]} wrong")
+            raise RuntimeError(f"trial 0 decoded a plan refuted as {certificate}")
+        for trial, (store, got) in enumerate(zip(stores, decoded)):
+            want = store.messages[plan.desired - 1]
+            if got != want:
+                wrong = [i + 1 for i, (a, b) in enumerate(zip(got, want)) if a != b]
+                raise RuntimeError(
+                    f"trial {trial} of a plan proved decodable got symbols {wrong[:8]} wrong")
     return {
         "audit": "decodability",
         "status": "PASS" if proved else "FAIL",

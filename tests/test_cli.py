@@ -116,6 +116,14 @@ def test_wrong_mu_count_is_usage_error(capsys):
         # refused before the 500001-point grid is built, not after its rows
         (["sweep", "-M", "3", "-N", "2", "--step", "1/1000000", "--mu-max", "1/2"],
          "enumeration too large: C(G+N-1, N) = 125000750001 profiles exceeds the budget of 500000"),
+        # a count below 1 is refused by name before the grid budget or the
+        # --mu count reads it
+        (["sweep", "-M", "3", "-N", "-1"], "need M >= 1 and N >= 1"),
+        (["sweep", "-M", "0", "-N", "2"], "need M >= 1 and N >= 1"),
+        (["capacity", "-M", "3", "-N", "-1", "--mu", "0"], "need M >= 1 and N >= 1"),
+        (["capacity", "-M", "3", "-N", "0", "--mu", "0"], "need M >= 1 and N >= 1"),
+        (["scheme", "-M", "0", "-N", "2", "--mu", "0,0"], "need M >= 1 and N >= 1"),
+        (["plan", "-M", "-2", "-N", "2", "--mu", "0,0"], "need M >= 1 and N >= 1"),
     ],
 )
 def test_bad_argument_values_are_usage_errors(capsys, argv, message):
@@ -172,6 +180,19 @@ def test_plan_simulate_audit_pipeline(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "audit", "--plan", str(plan_path))
     decod = json.loads(out)["decodability"]
     assert code == 0 and (decod["certificate"], decod["trials"]) == ("linear", 32)
+
+
+def test_audit_compiles_one_wire(plan_files, capsys, monkeypatch):
+    compiled = []
+    init = protocol._Wire.__init__
+
+    def counting(self, plan):
+        compiled.append(plan)
+        init(self, plan)
+
+    monkeypatch.setattr(protocol._Wire, "__init__", counting)
+    code, _, _ = run_cli(capsys, "audit", "--plan", str(plan_files["honest"]), "--trials", "3")
+    assert code == 0 and len(compiled) == 1
 
 
 def test_audit_tampered_plan_exits_one(tmp_path, capsys):

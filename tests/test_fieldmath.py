@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -85,37 +85,48 @@ def test_mat_rank_repeated_rows():
     assert mat_rank([[-1, 8], [6, 1]], 7) == 1
 
 
+def _column(v):
+    """``v`` as the one right-hand-side column of a ``mat_solve`` system."""
+    return [[x] for x in v]
+
+
+def _columns(m):
+    """The columns of the row list ``m``."""
+    return [list(col) for col in zip(*m)]
+
+
 def test_mat_solve_round_trip_and_singular():
     a = [[2, 1], [1, 3]]
     x = [4, 5]
     q = 11
     b = [(2 * 4 + 1 * 5) % q, (1 * 4 + 3 * 5) % q]
-    assert mat_solve(a, b, q) == x
+    assert mat_solve(a, _column(b), q) == _column(x)
     with pytest.raises(ValueError, match="singular"):
-        mat_solve([[1, 2], [2, 4]], [1, 2], 11)
+        mat_solve([[1, 2], [2, 4]], _column([1, 2]), 11)
 
 
 PRIMES = (2, 3, 11, 137, 541)
 
 
 def test_mat_solve_matches_gauss_jordan_oracle():
-    # random systems; the singular draws (common over GF(2)) must raise in both
+    # random systems with r right-hand sides, checked column by column;
+    # the singular draws (common over GF(2)) must raise in both
     rng = random.Random(17)
     cases = [(q, n) for q in PRIMES for n in range(13)] + [(137, 40), (541, 40), (137, 80)]
-    for q, n in cases:
+    for r, (q, n) in product((1, 2, 33), cases):
         while True:
             a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            b = [rng.randrange(q) for _ in range(n)]
+            b = [[rng.randrange(q) for _ in range(r)] for _ in range(n)]
             try:
-                want = gauss_jordan_solve(a, b, q)
+                want = [gauss_jordan_solve(a, col, q) for col in _columns(b)]
             except ValueError:
                 with pytest.raises(ValueError, match="singular"):
                     mat_solve(a, b, q)
                 continue
             break
         x = mat_solve(a, b, q)
-        assert x == want, (q, n)
-        assert mat_vec(a, x, q) == b
+        assert _columns(x) == want, (q, n, r)
+        assert [mat_vec(a, col, q) for col in _columns(x)] == _columns(b)
     assert mat_solve([], [], 7) == []
 
 
@@ -133,25 +144,29 @@ def test_planted_singular_systems_raise():
             coeffs = [rng.randrange(-q, 2 * q) for _ in range(n)]
             combined[j] = [sum(c * row[k] for c, row in zip(coeffs, a) if row is not a[j]) for k in range(n)]
             zero_column = [row[:i] + [0] + row[i + 1:] for row in a]
+            wide = [[v] + [rng.randrange(q) for _ in range(32)] for v in b]
             for m in (repeated, combined, zero_column):
-                for solve in (mat_solve, gauss_jordan_solve):
+                with pytest.raises(ValueError, match="singular"):
+                    gauss_jordan_solve(m, b, q)
+                # singular whatever the number of right-hand sides
+                for r in (0, 1, 2, 33):
                     with pytest.raises(ValueError, match="singular"):
-                        solve(m, b, q)
+                        mat_solve(m, [row[:r] for row in wide], q)
 
 
 def test_mat_solve_reduces_entries_outside_the_field():
     rng = random.Random(23)
-    for q in PRIMES:
-        for n in (1, 4, 9):
-            while True:
-                a = [[rng.randrange(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
-                if rank_gf([[v % q for v in row] for row in a], q) == n:
-                    break
-            b = [rng.randrange(-3 * q, 3 * q) for _ in range(n)]
-            x = mat_solve(a, b, q)
-            assert x == gauss_jordan_solve(a, b, q)
-            assert x == mat_solve([[v % q for v in row] for row in a], [v % q for v in b], q)
-            assert all(0 <= v < q for v in x)
+    for r, q, n in product((1, 2, 33), PRIMES, (1, 4, 9)):
+        while True:
+            a = [[rng.randrange(-3 * q, 3 * q) for _ in range(n)] for _ in range(n)]
+            if rank_gf([[v % q for v in row] for row in a], q) == n:
+                break
+        b = [[rng.randrange(-3 * q, 3 * q) for _ in range(r)] for _ in range(n)]
+        x = mat_solve(a, b, q)
+        assert _columns(x) == [gauss_jordan_solve(a, col, q) for col in _columns(b)]
+        assert x == mat_solve([[v % q for v in row] for row in a],
+                              [[v % q for v in row] for row in b], q)
+        assert all(0 <= v < q for row in x for v in row)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +226,29 @@ def test_packed_kernel_at_the_slot_bound(q):
     assert len(_same_stream([[q - 1] * n for _ in range(n)], q)) == 1
 
 
+@pytest.mark.parametrize("q", (2, 2 ** 64 - 59))
+def test_mat_solve_at_the_slot_bound_with_extra_columns(q):
+    # the slot-bound matrix above, its right-hand side and 32 more
+    # columns: the slot width depends on the row count alone.  Copies of
+    # the right-hand side have all-(q-1) tails, so in elimination each of
+    # their slots reaches the bound as well; the solution all q-1 makes
+    # the top row of back-substitution sum n-1 products of (q-1)^2
+    n = 80
+    w = (q - 1 + n * (q - 1) ** 2).bit_length()
+    assert ((n - 1) * (q - 1) ** 2).bit_length() == w
+    m = [[(1 - j) % q if j <= r else -(r + 1) % q for j in range(n + 1)] for r in range(n)]
+    a = [row[:n] for row in m]
+    rhs = [row[n] for row in m]
+    cols = [rhs] * 17 + [mat_vec(a, [q - 1] * n, q)] * 16
+    b = _columns(cols)
+    stream = _same_stream([ra + rb for ra, rb in zip(a, b)], q)
+    assert [c for c, _ in stream] == list(range(n))
+    assert all(tail[:n - c + 16] == [q - 1] * (n - c + 16) for c, tail in stream)
+    x = mat_solve(a, b, q)
+    assert [row[17:] for row in x] == [[q - 1] * 16] * n
+    assert [mat_vec(a, col, q) for col in _columns(x)] == cols
+
+
 def test_generator_matches_hand_vandermonde():
     code = mds_generator(4, 2, 7)
     assert [list(r) for r in code.generator] == vandermonde(4, 2, 7)
@@ -234,7 +272,7 @@ def test_decode_from_any_positions():
     # any k codeword symbols determine the key: solve the generator rows
     code = mds_generator(4, 2, 7)
     word = code.encode((2, 3))
-    assert mat_solve([code.generator[2], code.generator[3]], [word[2], word[3]], 7) == [2, 3]
+    assert mat_solve([code.generator[2], code.generator[3]], [[word[2]], [word[3]]], 7) == [[2], [3]]
     rng = random.Random(5)
     big = mds_generator(12, 5, 13)
     for _ in range(20):
@@ -242,7 +280,7 @@ def test_decode_from_any_positions():
         word = big.encode(key)
         pos = sorted(rng.sample(range(12), 5))
         rows = [big.generator[p] for p in pos]
-        assert tuple(mat_solve(rows, [word[p] for p in pos], 13)) == key
+        assert mat_solve(rows, [[word[p]] for p in pos], 13) == _column(key)
 
 
 def test_every_square_submatrix_invertible():

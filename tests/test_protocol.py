@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from wtcpir import protocol
+from wtcpir.fieldmath import mat_solve
 from wtcpir.planner import Query, build_plan, plan_from_json, plan_to_json, plan_violations
 from wtcpir.protocol import (
     MessageStore,
@@ -403,9 +404,8 @@ def test_decodability_trial_that_contradicts_the_proof_raises(monkeypatch):
     plan = worked_plan()
     decode_exactly = _Wire.decode
 
-    def flip_first(self, answers):
-        out = decode_exactly(self, answers)
-        return ((out[0] + 1) % self.plan.q,) + out[1:]
+    def flip_first(self, batch):
+        return [((out[0] + 1) % self.plan.q,) + out[1:] for out in decode_exactly(self, batch)]
 
     monkeypatch.setattr(_Wire, "decode", flip_first)
     with pytest.raises(RuntimeError, match="^trial 0 of a plan proved decodable got symbols"):
@@ -415,6 +415,54 @@ def test_decodability_trial_that_contradicts_the_proof_raises(monkeypatch):
     monkeypatch.setattr(_Wire, "certificate", lambda self: "singular")
     with pytest.raises(RuntimeError, match="^trial 0 decoded a plan refuted as singular$"):
         audit_decodability(plan, trials=3)
+    # and so does a decode error of a plan proved decodable
+    monkeypatch.setattr(_Wire, "certificate", lambda self: "linear")
+    with pytest.raises(RuntimeError, match=r"^trial 0 of a plan proved decodable failed: "
+                       r"db 1: side information \(3, 6\) for slot 12 was never downloaded$"):
+        audit_decodability(faults.rewired_side_information(plan), trials=3)
+
+
+def _scale_plan():
+    """The (5,3) ``best_scheme`` plan: keys of 24 and 66 symbols."""
+    mu = EavesdropProfile(["0", "1/4", "1/2"])
+    g, _ = best_scheme(5, 3, mu)
+    return build_plan(5, 3, g, mu, desired=2, seed=11)
+
+
+@pytest.mark.parametrize("plan", [worked_plan(), _scale_plan()], ids=["worked", "5-3"])
+def test_batched_decode_equals_decodes_of_one(plan):
+    wire = _Wire(plan)
+    stores = [random_store(plan.M, plan.dims.L, plan.q, seed=s) for s in range(5)]
+    batch = [wire.answer(store, key_seed=f"k{s}") for s, store in enumerate(stores)]
+    decoded = wire.decode(batch)
+    assert decoded == [wire.decode([answers])[0] for answers in batch]
+    assert decoded == [store.messages[plan.desired - 1] for store in stores]
+    assert wire.decode([]) == []
+
+
+def test_decodability_trials_share_one_solve_per_keyed_database(monkeypatch):
+    plan = worked_plan()
+    calls = []
+
+    def counting(a, b, q):
+        calls.append((len(a), len(b[0])))
+        return mat_solve(a, b, q)
+
+    monkeypatch.setattr(protocol, "mat_solve", counting)
+    assert audit_decodability(plan, trials=32)["status"] == "PASS"
+    # the worked plan's keys: 4 symbols at database 1 and 9 at database 2
+    assert [code.k for code, *_ in _Wire(plan).dbs] == [4, 9]
+    assert calls == [(4, 32), (9, 32)]
+
+
+def test_batched_decode_checks_every_set():
+    plan = worked_plan()
+    wire = _Wire(plan)
+    good = wire.answer(random_store(3, plan.dims.L, plan.q, seed=1), key_seed=2)
+    with pytest.raises(ValueError, match=r"^1 answer rows for 2 databases$"):
+        wire.decode([good, good[:1]])
+    with pytest.raises(ValueError, match="^db 2: 3 answers for 18 queries$"):
+        wire.decode([good, [good[0], good[1][:3]]])
 
 
 def test_security_witness_with_full_rank_raises(monkeypatch):
