@@ -166,11 +166,6 @@ def mat_solve(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) ->
     return x
 
 
-def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int], q: int) -> list[int]:
-    """Matrix-vector product over GF(q)."""
-    return [sum(map(mul, row, x)) % q for row in a]
-
-
 # ---------------------------------------------------------------------------
 # Vandermonde MDS codes
 # ---------------------------------------------------------------------------
@@ -181,7 +176,8 @@ class MdsCode:
 
     ``generator`` is t×k with rows (1, α_i, α_i², …, α_i^{k-1}) for distinct
     evaluation points α_i, so every k×k row submatrix is a Vandermonde minor
-    and therefore invertible: any k codeword symbols determine the key.
+    and therefore invertible: any k symbols of a key's codeword,
+    ``generator · key``, determine the key.
     """
 
     t: int
@@ -189,11 +185,6 @@ class MdsCode:
     q: int
     eval_points: tuple[int, ...]
     generator: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def encode(self, key: Sequence[int]) -> list[int]:
-        if len(key) != self.k:
-            raise ValueError(f"key length {len(key)} != k={self.k}")
-        return mat_vec(self.generator, key, self.q)
 
 
 def check_evaluation_points(t: int, q: int) -> None:

@@ -24,10 +24,14 @@ Audits check the three scheme guarantees directly on wire data:
   each noise interpolation invertible, and side information is subtracted
   as identical sums), with seeded retrievals as a check of the arithmetic.
 
-The decoder takes a batch of answer sets.  A database's interpolation
+The wire carries a batch of answer sets as lanes: one int per wire
+value, with one W-bit lane per set (``_lane_width``).  Each query is
+answered for every set with one dot product of its generator row and the
+packed key, plus its packed message terms.  A database's interpolation
 matrix is the same in every set, so one elimination per keyed database
-decodes the whole batch: the decodability trials are answered one by one
-and decoded together, and a single retrieval is a batch of one.
+solves every set's key, and noise stripping and side information run on
+the lanes too.  The decodability trials are answered and decoded as one
+batch, and a single retrieval is a batch of one.
 """
 
 from __future__ import annotations
@@ -35,10 +39,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
+from operator import mul
 from typing import Sequence
 
-from .fieldmath import mat_rank, mat_solve, mds_generator
+from .fieldmath import _pack, mat_rank, mat_solve, mds_generator
 from .planner import QueryPlan, signature_diff
+
+#: A batch of r answer sets as lanes, ``(r, rows)``: see ``_Wire``.
+_Lanes = tuple[int, list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,31 @@ def _permutations_for(seed: int, M: int, L: int) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+def _lane_width(k: int, M: int, q: int) -> int:
+    """Bits per lane of a packed wire value that never carries or borrows,
+    for keys of at most k symbols and M messages over GF(q).
+
+    An answer lane sums at most k(q−1)² of noise and M(q−1) of message
+    terms (a query names each message at most once); ``pack`` reduces
+    given answers below q.  Stripping the noise adds k·q(q−1), a multiple
+    of q not below the noise it subtracts, so a stripped lane lies in
+    [0, s) with s = (2k(q−1) + M)·q.  A desired-bearing query has at most
+    M−1 side terms, so side information subtracts at most M−1 stripped
+    lanes after adding that many times s, and a decoded lane lies in
+    [0, M·s).  Every lane therefore stays below 2^W.
+    """
+    return (M * (2 * k * (q - 1) + M) * q - 1).bit_length()
+
+
+def _interleave(sets: Sequence[Sequence[int]], w: int) -> list[int]:
+    """Equal-length value lists, one per set (at least one), as one int
+    per position with set j's value in lane j (bits j·w up)."""
+    packed = list(sets[0])
+    for j, values in enumerate(sets[1:], start=1):
+        packed = [p | v << j * w for p, v in zip(packed, values)]
+    return packed
+
+
 class _Wire:
     """A plan's physical wire, compiled once for any number of retrievals.
 
@@ -121,8 +154,13 @@ class _Wire:
     and the flat positions whose values it subtracts, as the plan
     resolved them.  ``error`` is the first decode failure the plan forces
     (missing side information, else a wrong count of recovered desired
-    slots), or None.  ``answer`` masks a store's sums with noise, and
-    ``decode`` strips it from a batch of answer sets.
+    slots), or None.
+
+    A batch of r answer sets travels as lanes, ``(r, rows)``:
+    ``rows[d-1][i]`` is one int whose lane j (bits j·W up, W = ``width``)
+    holds set j's answer to database d's query i.  ``answer`` draws and
+    answers a batch, ``pack`` packs given answer sets, and ``decode``
+    strips the noise from every lane and returns each set's message.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
@@ -139,6 +177,8 @@ class _Wire:
                 [[(m - 1) * L + perms[m - 1][s - 1] - 1 for m, s in qr.terms] for qr in queries],
                 mu * len(queries),
             ))
+        self.key_max = max((code.k for code, *_ in self.dbs), default=0)
+        self.width = _lane_width(self.key_max, plan.M, plan.q)
 
         self.program: list[tuple[int, int, tuple[int, ...]]] = []
         self.error = None
@@ -167,67 +207,92 @@ class _Wire:
                 return "singular"
         return "side-information" if self.error else "linear"
 
-    def answer(self, store: MessageStore, key_seed) -> list[tuple[int, ...]]:
-        """One answer row per database, masked with the noise codeword of
-        the key ``Random(f"{key_seed}/key/{d}")`` draws."""
+    def answer(self, stores: Sequence[MessageStore], key_seeds: Sequence) -> _Lanes:
+        """The answers to a batch of retrievals (at least one), as lanes:
+        set j answers from ``stores[j]``, masked with the noise codeword of
+        the key ``Random(f"{key_seeds[j]}/key/{d}")`` draws at database d.
+        The keys and the stores are packed across sets, so each query is
+        one dot product with its generator row plus its packed terms; its
+        lanes are left unreduced, below 2^W (``_lane_width``)."""
         plan = self.plan
-        if store.M != plan.M:
-            raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
-        if store.L != plan.dims.L:
-            raise ValueError(f"store messages have {store.L} symbols, plan needs {plan.dims.L}")
-        if store.q != plan.q:
-            raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
-        q = plan.q
-        flat = [v for w in store.messages for v in w]
-        answers = []
+        for store in stores:
+            if store.M != plan.M:
+                raise ValueError(f"store holds {store.M} messages, plan needs {plan.M}")
+            if store.L != plan.dims.L:
+                raise ValueError(f"store messages have {store.L} symbols, plan needs {plan.dims.L}")
+            if store.q != plan.q:
+                raise ValueError(f"store is over GF({store.q}), plan over GF({plan.q})")
+        q, w = plan.q, self.width
+        flat = _interleave([[v for msg in s.messages for v in msg] for s in stores], w)
+        rows = []
         for d, (code, _, _, slots, terms, size) in enumerate(self.dbs, start=1):
             if size.denominator != 1:
                 raise ValueError(f"db {d}: observation size mu*t = {size} is not an integer")
-            rng = random.Random(f"{key_seed}/key/{d}")
-            noise = code.encode(tuple(rng.randrange(q) for _ in range(code.k)))
-            answers.append(tuple([(noise[slot] + sum(map(flat.__getitem__, idx))) % q
-                                  for slot, idx in zip(slots, terms)]))
-        return answers
+            key = _interleave([[rng.randrange(q) for _ in range(code.k)] for rng in
+                               (random.Random(f"{seed}/key/{d}") for seed in key_seeds)], w)
+            gen = code.generator
+            rows.append([sum(map(mul, gen[slot], key)) + sum(map(flat.__getitem__, idx))
+                         for slot, idx in zip(slots, terms)])
+        return len(stores), rows
 
-    def decode(self, batch: Sequence[Sequence[Sequence[int]]]) -> list[tuple[int, ...]]:
-        """The desired message of each answer set in ``batch`` (one answer
-        row per database).  Per database, in order: check every set's
-        answer count, interpolate every set's key in one ``mat_solve``
-        call (the matrix, the generator rows at the pure-noise slots, is
-        the same in every set; each set adds one right-hand-side column),
-        and strip each set's noise.  Then run the side-information program
-        per set."""
+    def pack(self, batch: Sequence[Sequence[Sequence[int]]]) -> _Lanes:
+        """The answer sets in ``batch`` (one answer row per database, one
+        answer per query) as lanes, each answer reduced mod q.  Every
+        set's row count, then per database every set's answer count, is
+        checked first."""
         plan = self.plan
         for answers in batch:
             if len(answers) != plan.N:
                 raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
-        q = plan.q
-        values: list[list[int]] = [[] for _ in batch]
-        for d, (code, noise_at, rows, slots, _, _) in enumerate(self.dbs, start=1):
+        q, w = plan.q, self.width
+        rows = []
+        for d, (*_, slots, _, _) in enumerate(self.dbs, start=1):
             got = [answers[d - 1] for answers in batch]
             for row in got:
                 if len(row) != len(slots):
                     raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
-            keys = [()] * len(batch)
-            if code.k:
-                try:
-                    keys = list(zip(*mat_solve(rows, [[row[i] for row in got] for i in noise_at], q)))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"db {d}: noise interpolation is singular — plan or answers corrupted"
-                    ) from exc
-            for vals, row, key in zip(values, got, keys):
-                noise = code.encode(key)
-                vals += [(a - noise[slot]) % q for a, slot in zip(row, slots)]
+            rows.append([_pack([row[i] % q for row in got], w) for i in range(len(slots))])
+        return len(batch), rows
+
+    def decode(self, lanes: _Lanes) -> list[tuple[int, ...]]:
+        """The desired message of each set in ``lanes``.  Per keyed
+        database, unpack the pure-noise lanes and interpolate every set's
+        key in one ``mat_solve`` call (the matrix, the generator rows at
+        the pure-noise slots, is the same in every set; each set adds one
+        right-hand-side column).  Pack the keys again and strip the noise
+        as one dot product per wire value.  Then run the side-information
+        program on the lanes, and unpack the message symbols last."""
+        r, rows = lanes
+        plan = self.plan
+        q, w = plan.q, self.width
+        mask = (1 << w) - 1
+        lanes_at = range(0, r * w, w)
+        ones = _pack([1] * r, w)
+        values: list[int] = []
+        for d, (code, noise_at, noise_rows, slots, _, _) in enumerate(self.dbs, start=1):
+            row = rows[d - 1]
+            if not code.k:
+                values += row
+                continue
+            try:
+                x = mat_solve(noise_rows, [[row[i] >> j & mask for j in lanes_at] for i in noise_at], q)
+            except ValueError as exc:
+                raise ValueError(
+                    f"db {d}: noise interpolation is singular — plan or answers corrupted"
+                ) from exc
+            key = [_pack(v, w) for v in x]
+            # a multiple of q not below any lane's noise, so no lane borrows
+            lift = code.k * q * (q - 1) * ones
+            gen = code.generator
+            values += [a + lift - sum(map(mul, gen[slot], key)) for a, slot in zip(row, slots)]
         if self.error:
             raise ValueError(self.error)
-        decoded = []
-        for vals in values:
-            out = [0] * plan.dims.L
-            for phys, pos, subtract in self.program:
-                out[phys] = (vals[pos] - sum(map(vals.__getitem__, subtract))) % q
-            decoded.append(tuple(out))
-        return decoded
+        # a multiple of q above every stripped lane (see _lane_width)
+        lift = (2 * self.key_max * (q - 1) + plan.M) * q * ones
+        out = [0] * plan.dims.L
+        for phys, pos, subtract in self.program:
+            out[phys] = values[pos] + len(subtract) * lift - sum(map(values.__getitem__, subtract))
+        return [tuple([(v >> j & mask) % q for v in out]) for j in lanes_at]
 
 
 def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
@@ -239,13 +304,15 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
     symbol at its noise slot.  This is the one place the eavesdropper's
     view is drawn: per database, a sample of exactly mu_n * t_n wire
     positions from ``Random(f"{key_seed}/view/{d}")``.  Runs through the
-    plan's compiled wire, built for this one call.
+    plan's compiled wire, built for this one call, as a batch of one; the
+    transcript holds its one lane reduced mod q.
 
     Raises ``ValueError`` if the store does not fit the plan, some
     mu_n * t_n is not an integer, or ``decode`` fails.
     """
     wire = _Wire(plan)
-    answers = wire.answer(store, key_seed)
+    lanes = wire.answer([store], [key_seed])
+    answers = [tuple([v % plan.q for v in row]) for row in lanes[1]]
     positions, values = [], []
     for d, (row, (*_, size)) in enumerate(zip(answers, wire.dbs), start=1):
         view = random.Random(f"{key_seed}/view/{d}")
@@ -254,7 +321,7 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
         values.append(tuple(row[p - 1] for p in taps))
     return Transcript(
         answers=tuple(answers),
-        decoded=wire.decode([answers])[0],
+        decoded=wire.decode(lanes)[0],
         eavesdropper=EavesdropperView(positions=tuple(positions), values=tuple(values)),
     )
 
@@ -262,13 +329,14 @@ def run_retrieval(plan: QueryPlan, store: MessageStore, key_seed) -> Transcript:
 def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Recover the desired message exactly from the answers.
 
-    Per database: interpolate the key from the pure-noise positions,
-    re-expand the noise codeword, and strip it.  Then resolve every
-    desired-bearing sum by subtracting its side information as the plan
-    resolved it — the value of the identical undesired sum, or of the
-    matching round-1 singles, last downloaded at any database.  Returns
-    the message in physical symbol order.  Runs through the plan's
-    compiled wire, built for this one call.
+    Every answer is reduced mod q first.  Per database: interpolate the
+    key from the pure-noise positions and strip the noise it encodes.
+    Then resolve every desired-bearing sum by subtracting its side
+    information as the plan resolved it — the value of the identical
+    undesired sum, or of the matching round-1 singles, last downloaded at
+    any database.  Returns the message in physical symbol order.  Runs
+    through the plan's compiled wire, built for this one call, as a batch
+    of one.
 
     Raises
     ------
@@ -278,7 +346,8 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
         interpolation is singular, or side information is
         missing/unresolvable (an internal error for honest plans).
     """
-    return _Wire(plan).decode([answers])[0]
+    wire = _Wire(plan)
+    return wire.decode(wire.pack([answers]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +485,11 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
     The trials then check the arithmetic, through one compiled wire:
     ``wire`` if given (it must be ``_Wire(plan)``), else compiled here.
     Each trial draws a fresh uniform store (``"{seed}/store/{trial}"``)
-    and key seed (``"{seed}/keys/{trial}"``), and the wire answers the
-    trials one by one.  It then decodes all of them in one call, one
-    elimination per keyed database, and each decoded message is compared
-    to its trial's stored one; no eavesdropper view is drawn.  Every
+    and key seed (``"{seed}/keys/{trial}"``).  The wire answers and
+    decodes all trials as one batch of lanes, one big-integer operation
+    per wire value and one elimination per keyed database, and each
+    decoded message is compared to its trial's stored one; no
+    eavesdropper view is drawn.  Every
     error the wire raises on its own answers comes from the plan alone,
     the same in every trial, so it is charged to trial 0.  On a PASS
     all ``trials`` run.  A wrong decoder is another affine map, which
@@ -442,8 +512,7 @@ def audit_decodability(plan: QueryPlan, trials: int = DEFAULT_TRIALS, seed: int 
               for trial in range(runs)]
     failures = []
     try:
-        decoded = wire.decode([wire.answer(store, key_seed=f"{seed}/keys/{trial}")
-                               for trial, store in enumerate(stores)])
+        decoded = wire.decode(wire.answer(stores, [f"{seed}/keys/{trial}" for trial in range(runs)]))
     except ValueError as exc:
         # every error the wire raises on its own answers comes from the
         # plan alone, so trial 0 is the first trial it fails

@@ -364,6 +364,12 @@ def vandermonde(t: int, k: int, q: int):
     return [[pow(i + 1, j, q) for j in range(k)] for i in range(t)]
 
 
+def mat_vec(a, x, q: int) -> list[int]:
+    """Matrix-vector product over GF(q); ``mat_vec(generator, key, q)`` is
+    the key's noise codeword."""
+    return [sum(g * v for g, v in zip(row, x)) % q for row in a]
+
+
 def trial_division_prime(n: int) -> bool:
     """Primality by trial division up to the square root (small n only)."""
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
@@ -434,6 +440,41 @@ def stage_count_findings(plan) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# One retrieval's answers, query by query
+# ---------------------------------------------------------------------------
+
+def symbol_permutations(plan) -> list[list[int]]:
+    """The README's per-message symbol permutations, ``"{seed}/perm/{m}"``:
+    ``perms[m-1][s-1]`` is the physical index of logical slot s."""
+    perms = []
+    for m in range(1, plan.M + 1):
+        ids = list(range(1, plan.dims.L + 1))
+        random.Random(f"{plan.seed}/perm/{m}").shuffle(ids)
+        perms.append(ids)
+    return perms
+
+
+def answers_by_trial(plan, store, key_seed) -> list[tuple[int, ...]]:
+    """One retrieval's answers, one row per database, computed query by
+    query: per database d, the key ``Random(f"{key_seed}/key/{d}")`` draws
+    (one symbol per pure-noise query), encoded by its own Vandermonde
+    generator, and per query the noise symbol at its slot plus its
+    permuted message symbols, summed mod q."""
+    q = plan.q
+    perms = symbol_permutations(plan)
+    rows = []
+    for d, queries in enumerate(plan.databases, start=1):
+        rng = random.Random(f"{key_seed}/key/{d}")
+        key = [rng.randrange(q) for qr in queries if qr.is_pure_noise]
+        noise = mat_vec(vandermonde(len(queries), len(key), q), key, q)
+        rows.append(tuple(
+            (noise[qr.noise_slot - 1]
+             + sum(store.messages[m - 1][perms[m - 1][s - 1] - 1] for m, s in qr.terms)) % q
+            for qr in queries))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Brute-force leakage check (tiny plans only)
 # ---------------------------------------------------------------------------
 
@@ -458,12 +499,7 @@ def leakage_is_message_independent(plan) -> tuple[bool, int]:
         assert size.denominator == 1
         obs_sizes[d] = int(size)
     gens = {d: vandermonde(len(plan.databases[d - 1]), key_lens[d], q) for d in active}
-    # the README's per-message symbol permutations, "{seed}/perm/{m}"
-    perms = []
-    for m in range(1, M + 1):
-        ids = list(range(1, L + 1))
-        random.Random(f"{plan.seed}/perm/{m}").shuffle(ids)
-        perms.append(ids)
+    perms = symbol_permutations(plan)
 
     def meaningful(d, store):
         out = []

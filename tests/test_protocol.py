@@ -27,7 +27,7 @@ from wtcpir.protocol import (
 from wtcpir.schemes import EavesdropProfile, best_scheme, enumerate_sequences
 
 import faults
-from oracles import decodability_by_trials, rank_gf, vandermonde
+from oracles import answers_by_trial, decodability_by_trials, rank_gf, vandermonde
 
 WORKED_MU = EavesdropProfile(["1/4", "1/2"])
 
@@ -433,11 +433,49 @@ def _scale_plan():
 def test_batched_decode_equals_decodes_of_one(plan):
     wire = _Wire(plan)
     stores = [random_store(plan.M, plan.dims.L, plan.q, seed=s) for s in range(5)]
-    batch = [wire.answer(store, key_seed=f"k{s}") for s, store in enumerate(stores)]
-    decoded = wire.decode(batch)
-    assert decoded == [wire.decode([answers])[0] for answers in batch]
+    seeds = [f"k{s}" for s in range(5)]
+    decoded = wire.decode(wire.answer(stores, seeds))
+    assert decoded == [wire.decode(wire.answer([store], [seed]))[0]
+                       for store, seed in zip(stores, seeds)]
     assert decoded == [store.messages[plan.desired - 1] for store in stores]
-    assert wire.decode([]) == []
+    # given answer sets decode through the same lanes
+    batch = [run_retrieval(plan, store, seed).answers for store, seed in zip(stores, seeds)]
+    assert wire.decode(wire.pack(batch)) == decoded
+    assert wire.decode(wire.pack([])) == []
+
+
+def _lane(lanes, j, width, q):
+    """Set j's answer rows, reduced mod q, from a batch of lanes."""
+    return [tuple((v >> j * width & (1 << width) - 1) % q for v in row) for row in lanes[1]]
+
+
+@pytest.mark.parametrize("M,N,mu", [(3, 2, ("1/4", "1/2")), (4, 3, ("0", "1/4", "1/2")),
+                                    (5, 3, ("0", "1/4", "1/2"))])
+def test_batched_answers_match_the_query_by_query_oracle(M, N, mu):
+    profile = EavesdropProfile(list(mu))
+    g, _ = best_scheme(M, N, profile)
+    plan = build_plan(M, N, g, profile, desired=2, seed=13)
+    wire = _Wire(plan)
+    stores = [random_store(M, plan.dims.L, plan.q, seed=f"lanes/{s}") for s in range(5)]
+    seeds = [f"lanes/k{s}" for s in range(5)]
+    lanes = wire.answer(stores, seeds)
+    assert lanes[0] == 5
+    for j, (store, seed) in enumerate(zip(stores, seeds)):
+        assert _lane(lanes, j, wire.width, plan.q) == answers_by_trial(plan, store, seed), j
+    assert wire.decode(lanes) == [store.messages[1] for store in stores]
+
+
+def test_widest_lanes_decode_over_a_64_bit_field():
+    q = 2 ** 64 - 59
+    plan = build_plan(3, 2, (1, 2, 2), WORKED_MU, desired=1, seed=7, q=q)
+    report = audit_decodability(plan, trials=32)
+    assert (report["status"], report["certificate"], report["passed"]) == ("PASS", "linear", 32)
+    store = random_store(3, plan.dims.L, q, seed=4)
+    tr = run_retrieval(plan, store, key_seed=5)
+    assert tr.decoded == store.messages[0]
+    assert list(tr.answers) == answers_by_trial(plan, store, 5)
+    for shift in (q, -3 * q):
+        assert decode(plan, [[a + shift for a in row] for row in tr.answers]) == tr.decoded
 
 
 def test_decodability_trials_share_one_solve_per_keyed_database(monkeypatch):
@@ -458,11 +496,11 @@ def test_decodability_trials_share_one_solve_per_keyed_database(monkeypatch):
 def test_batched_decode_checks_every_set():
     plan = worked_plan()
     wire = _Wire(plan)
-    good = wire.answer(random_store(3, plan.dims.L, plan.q, seed=1), key_seed=2)
+    good = run_retrieval(plan, random_store(3, plan.dims.L, plan.q, seed=1), key_seed=2).answers
     with pytest.raises(ValueError, match=r"^1 answer rows for 2 databases$"):
-        wire.decode([good, good[:1]])
+        wire.pack([good, good[:1]])
     with pytest.raises(ValueError, match="^db 2: 3 answers for 18 queries$"):
-        wire.decode([good, [good[0], good[1][:3]]])
+        wire.pack([good, [good[0], good[1][:3]]])
 
 
 def test_security_witness_with_full_rank_raises(monkeypatch):
