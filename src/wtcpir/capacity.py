@@ -17,6 +17,15 @@ integer form, an integer vector over one positive denominator, so
 deduplicating the pool, pricing a round and every simplex pivot are
 exact integer arithmetic.
 
+A round prices the whole pool at once, as packed lanes: the pool's N
+coefficient columns are N big ints with one lane per form, so every
+a . t of the round is N big-int multiply-adds.  A lane is whole 64-bit
+words, wide enough for max(a) * T, which bounds every a . t since t sums
+to T.  The argmin is read through the integer key (a . t << 64) // D:
+it is monotone in a . t / D, so every exact minimizer carries the least
+key, and the forms sharing that key are compared by cross-multiplication,
+the first in pool order winning ties.  No float decides anything.
+
 Every bound comes with both halves of its own certificate:
 
 - the maximizing ``tau``, for which :func:`inner_bound_at` evaluates
@@ -30,11 +39,13 @@ Every bound comes with both halves of its own certificate:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, itemgetter, lshift, mul, or_
 from typing import Iterable, Iterator, Sequence
 
 from .schemes import (
@@ -88,26 +99,82 @@ def constraint_coefficients(n_vec: SequenceVector, mu: EavesdropProfile) -> Form
     gcd then makes the form primitive.
     """
     weight = 1
-    by_threshold = [0] * (mu.N + 1)
+    by_threshold = [0] * (len(mu.margin) + 1)
     for v in reversed(n_vec):
         by_threshold[v] += weight
         weight *= v
     by_threshold[0] += weight
-    a = list(map(mul, mu.margin, accumulate(by_threshold)))
+    a = tuple(map(mul, mu.margin, accumulate(by_threshold)))
     D = mu.margin_den * sum(by_threshold)
     g = gcd(D, *a)
-    return tuple(v // g for v in a), D // g
+    if g == 1:
+        return a, D
+    return tuple(map(floordiv, a, repeat(g))), D // g
 
 
-def _cheapest(forms: Iterable[Form], t: Sequence[int]) -> tuple[int, int, int]:
-    """The smallest a . t / D over the forms, as (a . t, D, index); the
-    first such form on ties."""
-    best_num, best_den, argmin = 1, 0, -1  # start at +infinity
-    for i, (a, D) in enumerate(forms):
-        num = sum(map(mul, a, t))
-        if num * best_den < best_num * D:
-            best_num, best_den, argmin = num, D, i
-    return best_num, best_den, argmin
+def _pack(values: Iterable[int], words: int) -> int:
+    """One int holding the values in lanes of ``words`` 64-bit words each,
+    the first value lowest."""
+    if words > 1:
+        lane_bytes = map(int.to_bytes, values, repeat(8 * words), repeat("little"))
+        return int.from_bytes(b"".join(lane_bytes), "little")
+    lanes = array("Q", values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+class _Pricer:
+    """Prices a fixed list of forms at integer download counts t: every
+    a . t at once, as packed lanes, and the smallest a . t / D exactly.
+
+    Column d of the forms is one int holding a[d] of form j in lane j
+    (bits j*W up), so sum_d t_d * column_d holds every a . t in its lanes,
+    N big-int multiply-adds in all.  Lanes never carry: a, t >= 0 and
+    a . t <= max(a) * sum(t), so W is that bound's bit length rounded up
+    to whole 64-bit words.  The columns are repacked only when a round's
+    sum(t) needs wider lanes.
+    """
+
+    def __init__(self, forms: Sequence[Form]) -> None:
+        self.forms = forms
+        self.top = max(map(max, map(itemgetter(0), forms)))
+        self.words = 0
+        self.columns: list[int] = []
+
+    def cheapest(self, t: Sequence[int]) -> tuple[int, int, list[int]]:
+        """The smallest a . t / D over the forms, as (a . t, D, ties): ties
+        lists every form that reaches it, in order, so ties[0] is the first.
+
+        The least key (a . t << 64) // D holds every minimizer, as the key
+        is monotone in a . t / D; the forms sharing it are then compared
+        by cross-multiplication, so the result is exact.
+        """
+        forms = self.forms
+        need = -(-(self.top * sum(t)).bit_length() // 64)
+        if need > self.words:
+            self.words = need
+            vectors = list(map(itemgetter(0), forms))
+            self.columns = [_pack(map(itemgetter(d), vectors), need) for d in range(len(t))]
+        words = self.words
+        lanes = array("Q", sum(map(mul, t, self.columns)).to_bytes(8 * words * len(forms), "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        nums = lanes[words - 1::words]
+        for i in range(words - 2, -1, -1):  # join a lane's words, most significant first
+            nums = list(map(or_, map(lshift, nums, repeat(64)), lanes[i::words]))
+        keys = list(map(floordiv, map(lshift, nums, repeat(64)), map(itemgetter(1), forms)))
+        least = min(keys)
+        best_num, best_den, ties = 1, 0, []  # start at +infinity
+        j = -1
+        for _ in range(keys.count(least)):  # each form with the least key, in order
+            j = keys.index(least, j + 1)
+            num, D = nums[j], forms[j][1]
+            if num * best_den < best_num * D:
+                best_num, best_den, ties = num, D, [j]
+            elif num * best_den == best_num * D:
+                ties.append(j)
+        return best_num, best_den, ties
 
 
 def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) -> Fraction:
@@ -119,7 +186,7 @@ def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) ->
         raise ValueError("tau outside the download-share simplex")
     T = lcm(*(v.denominator for v in tvec))
     t = [v.numerator * (T // v.denominator) for v in tvec]
-    num, D, _ = _cheapest((constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, mu.N)), t)
+    num, D, _ = _Pricer(_pool(M, mu.N, mu)).cheapest(t)
     return Fraction(num, D * T)
 
 
@@ -188,7 +255,10 @@ def _solve_restricted(
 
     # the slack columns are unit vectors, so the slacks start basic for free
     # and only tau_1 and R need pivots
-    jstar = min(range(J), key=lambda j: Fraction(forms[j][0][0], forms[j][1]))
+    jstar = 0  # the least c_j[0] = a_j[0] / D_j, the first on ties
+    for j, (a, D) in enumerate(forms):
+        if a[0] * forms[jstar][1] < forms[jstar][0][0] * D:
+            jstar = j
     basis = [N + 1 + j for j in range(J)] + [-1]
     basis[jstar] = -1
     det = 1
@@ -255,6 +325,12 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     sequence — at which point it is the exact optimum of the full LP.
     The final tableau's dual weights come with it; :func:`outer_bound_at`
     checks them.
+
+    Each round's pricing packs the pool into lanes of whole 64-bit words,
+    sized from max(a) * T and widened only when a round needs more; it
+    takes the least key (a . t << 64) // D, then compares the forms that
+    share it exactly, keeping the first in pool order.  The last round's
+    minimizers are the constraints tight at the optimum.
     """
     if M < 1 or N < 1:
         raise ValueError("need M >= 1 and N >= 1")
@@ -262,6 +338,7 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
         raise ValueError(f"profile covers {mu.N} databases, expected {N}")
     check_enumeration_budget("N^(M-1)", N ** (M - 1), "sequences")
     pool = _pool(M, N, mu)
+    pricer = _Pricer(pool)
     work = list(dict.fromkeys(constraint_coefficients((j,) * (M - 1), mu) for j in range(1, N + 1)))
 
     # price every constraint at tau = t/T on integers: (a . t) / (D * T)
@@ -269,20 +346,20 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
         value, tau, weights = _solve_restricted(work)
         T = lcm(*(v.denominator for v in tau))
         t = [v.numerator * (T // v.denominator) for v in tau]
-        best_num, best_den, argmin = _cheapest(pool, t)
-        if Fraction(best_num, best_den * T) == value:
+        best_num, best_den, ties = pricer.cheapest(t)
+        if best_num * value.denominator == value.numerator * best_den * T:
             break
-        work.append(pool[argmin])
+        work.append(pool[ties[0]])
 
-    # c . tau == value  <=>  (a . t) * value_den == value_num * D * T.
-    # By complementary slackness every support constraint is tight, so only
+    # the last round's minimizers are the forms tight at tau.  By
+    # complementary slackness every support constraint is tight, so only
     # tight sequences look it up; each support form keeps its first sequence.
+    tight = {pool[j] for j in ties}
     support = {form: w for form, w in zip(work, weights) if w}
     active, duals = [], []
     for n_vec in sequence_vectors(M, N):
         form = constraint_coefficients(n_vec, mu)
-        a, D = form
-        if sum(map(mul, a, t)) * value.denominator == value.numerator * D * T:
+        if form in tight:
             active.append(n_vec)
             if form in support:
                 duals.append((n_vec, support.pop(form)))

@@ -187,6 +187,17 @@ def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def cheapest_by_forms(forms, t) -> tuple[int, int, int]:
+    """The smallest a . t / D over integer forms (a, D), one dot product per
+    form, as (a . t, D, index); the first such form on ties."""
+    best_num, best_den, argmin = 1, 0, -1  # start at +infinity
+    for i, (a, D) in enumerate(forms):
+        num = sum(x * y for x, y in zip(a, t))
+        if num * best_den < best_num * D:
+            best_num, best_den, argmin = num, D, i
+    return best_num, best_den, argmin
+
+
 # ---------------------------------------------------------------------------
 # Capacity LP over Fraction, typed independently
 # ---------------------------------------------------------------------------

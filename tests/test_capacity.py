@@ -23,6 +23,7 @@ from wtcpir.schemes import EavesdropProfile, best_scheme
 from oracles import (
     capacity_m2,
     capacity_m3,
+    cheapest_by_forms,
     classic_rate,
     fraction_simplex,
     prefix_coefficients,
@@ -204,6 +205,105 @@ def test_lp_results_match_golden_digest():
             res.active_sequences, tuple((n_vec, str(w)) for n_vec, w in res.dual_weights),
         )).encode() + b"\n")
     assert h.hexdigest()[:16] == "72d812271651a732"
+
+
+def minimizers(forms, t) -> tuple[int, int, list[int]]:
+    """cheapest_by_forms with every minimizing index, in order."""
+    num, den, _ = cheapest_by_forms(forms, t)
+    return num, den, [j for j, (a, D) in enumerate(forms)
+                      if sum(x * y for x, y in zip(a, t)) * den == num * D]
+
+
+class OraclePricer:
+    """capacity._Pricer's interface over the per-form oracle."""
+
+    def __init__(self, forms):
+        self.forms = forms
+
+    def cheapest(self, t):
+        return minimizers(self.forms, t)
+
+
+def assert_prices_like_oracle(forms, t, got) -> None:
+    num, den, ties = got
+    assert (num, den, ties[0]) == cheapest_by_forms(forms, t), t
+    assert got == minimizers(forms, t), t
+
+
+def test_pricer_matches_oracle_on_every_ladder_round(monkeypatch):
+    rounds = []
+
+    class Checked(capacity._Pricer):
+        def cheapest(self, t):
+            got = super().cheapest(t)
+            assert_prices_like_oracle(self.forms, t, got)
+            rounds.append(t)
+            return got
+
+    monkeypatch.setattr(capacity, "_Pricer", Checked)
+    for mu in LADDER_FAMILY:
+        for M in (5, 6, 7):
+            upper_bound(M, 4, EavesdropProfile(mu))
+    assert len(rounds) > 15
+
+
+def test_pricer_matches_oracle_at_random_t():
+    rng = random.Random(53)
+    for _ in range(200):
+        N, J = rng.randint(1, 4), rng.randint(1, 40)
+        bits = rng.choice((3, 20, 60, 64, 100))
+        forms = [(tuple(rng.randrange(1 << bits) for _ in range(N)),
+                  rng.randrange(1, 1 << rng.choice((2, 40)))) for _ in range(J)]
+        forms[0] = ((1 << bits,) * N, forms[0][1])  # no all-zero pool
+        pricer = capacity._Pricer(forms)
+        # one pricer over rounds of growing and shrinking sum(t), from one
+        # word per lane to three: it repacks only when a round needs more
+        for t_bits in rng.sample((1, 8, 30, 64, 90), 3):
+            t = [rng.randrange(1 << t_bits) for _ in range(N - 1)] + [1 << t_bits]
+            assert_prices_like_oracle(forms, t, pricer.cheapest(t))
+
+
+def test_pricer_ties():
+    # equal ratios at different indices: the first wins and all are tight
+    forms = [((4, 4), 5), ((3, 1), 4), ((1, 1), 2), ((5, 5), 8), ((2, 6), 8)]
+    assert capacity._Pricer(forms).cheapest((1, 1)) == (4, 4, [1, 2, 4])
+    # equal keys (a . t << 64) // D but different ratios: 2^62 / (3 * 2^62 - 1)
+    # lies above 1/3 by less than 2^-64, in one-word lanes, and
+    # 2^64 / (2^64 + 1) above 1 - 2^-64, in two-word lanes
+    for big, small in ((((1 << 62,), (3 << 62) - 1), ((1,), 3)),
+                       (((1 << 64,), (1 << 64) + 1), (((1 << 64) - 1,), 1 << 64))):
+        assert (big[0][0] << 64) // big[1] == (small[0][0] << 64) // small[1]
+        for forms in ([big, small], [small, big], [big, small, big, small]):
+            got = capacity._Pricer(forms).cheapest((1,))
+            assert_prices_like_oracle(forms, (1,), got)
+            assert [forms[j] for j in got[2]] == [small] * forms.count(small)
+
+
+def test_upper_bound_multiword_lanes(monkeypatch):
+    # large denominators need two and three 64-bit words per lane; the one-
+    # word lanes of the golden digest never reach the multiword path
+    near = EavesdropProfile((0, "1/1009", "2/1013", "3/1019"))
+    far = EavesdropProfile(("1/9973", "2/9967", "3/9949", "4/9941"))
+    rounds = []
+
+    class Recorded(capacity._Pricer):
+        def cheapest(self, t):
+            ret = super().cheapest(t)
+            # the words max(a) * sum(t) needs this round, and the lanes' words
+            rounds.append((-(-(self.top * sum(t)).bit_length() // 64), self.words))
+            return ret
+
+    for mu, M, needs in ((near, 3, {1, 2}), (near, 5, {2}), (near, 6, {2}), (far, 6, {2, 3})):
+        rounds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(capacity, "_Pricer", Recorded)
+            res = upper_bound(M, 4, mu)
+        assert {need for need, _ in rounds} == needs, (M, mu.mu)
+        assert {words for _, words in rounds} == {max(needs)}, (M, mu.mu)
+        assert_certified(res, mu, M)
+        with monkeypatch.context() as m:
+            m.setattr(capacity, "_Pricer", OraclePricer)
+            assert upper_bound(M, 4, mu) == res, (M, mu.mu)
 
 
 def _outcome(solve, program):
