@@ -13,9 +13,11 @@ restricted program only ever holds a handful of constraints; the
 candidate optimum is certified by evaluating every sequence, so the
 result is the exact optimum of the full program.
 :func:`constraint_coefficients` gives each constraint in primitive
-integer form, an integer vector over one positive denominator, so
-deduplicating the pool, pricing a round and every simplex pivot are
-exact integer arithmetic.
+integer form, an integer vector over one positive denominator, and the
+simplex returns its optimum over the tableau's one denominator, so the
+whole loop, from deduplicating the pool through every pivot and every
+round's pricing to the stopping test, is exact integer arithmetic.
+Fractions are made only for the result.
 
 A round prices the whole pool at once, as packed lanes: the pool's N
 coefficient columns are N big ints with one lane per form, so every
@@ -26,7 +28,7 @@ it is monotone in a . t / D, so every exact minimizer carries the least
 key, and the forms sharing that key are compared by cross-multiplication,
 the first in pool order winning ties.  No float decides anything.
 
-Every bound comes with both halves of its own certificate:
+The result is the value with both halves of its own certificate:
 
 - the maximizing ``tau``, for which :func:`inner_bound_at` evaluates
   every sequence and shows that the LP reaches the value;
@@ -63,12 +65,11 @@ Form = tuple[tuple[int, ...], int]  # (a, D): the coefficient vector a / D
 @dataclass(frozen=True)
 class BoundResult:
     """Exact LP optimum: the bound value, a maximizing download-share
-    vector, every sequence whose constraint is tight there, and the dual
-    weights: each support constraint's first sequence with its weight."""
+    vector, and the dual weights: each support constraint's first
+    sequence with its weight."""
 
     value: Fraction
     argmax_tau: tuple[Fraction, ...]
-    active_sequences: tuple[SequenceVector, ...]
     dual_weights: tuple[tuple[SequenceVector, Fraction], ...]
 
 
@@ -142,9 +143,9 @@ class _Pricer:
         self.words = 0
         self.columns: list[int] = []
 
-    def cheapest(self, t: Sequence[int]) -> tuple[int, int, list[int]]:
-        """The smallest a . t / D over the forms, as (a . t, D, ties): ties
-        lists every form that reaches it, in order, so ties[0] is the first.
+    def cheapest(self, t: Sequence[int]) -> tuple[int, int, int]:
+        """The smallest a . t / D over the forms, as (a . t, D, j): j is the
+        first form that reaches it.
 
         The least key (a . t << 64) // D holds every minimizer, as the key
         is monotone in a . t / D; the forms sharing it are then compared
@@ -165,20 +166,19 @@ class _Pricer:
             nums = list(map(or_, map(lshift, nums, repeat(64)), lanes[i::words]))
         keys = list(map(floordiv, map(lshift, nums, repeat(64)), map(itemgetter(1), forms)))
         least = min(keys)
-        best_num, best_den, ties = 1, 0, []  # start at +infinity
+        best_num, best_den, best = 1, 0, -1  # start at +infinity
         j = -1
         for _ in range(keys.count(least)):  # each form with the least key, in order
             j = keys.index(least, j + 1)
             num, D = nums[j], forms[j][1]
             if num * best_den < best_num * D:
-                best_num, best_den, ties = num, D, [j]
-            elif num * best_den == best_num * D:
-                ties.append(j)
-        return best_num, best_den, ties
+                best_num, best_den, best = num, D, j
+        return best_num, best_den, best
 
 
 def inner_bound_at(tau: Sequence[RationalLike], mu: EavesdropProfile, M: int) -> Fraction:
-    """Exact min over all N^(M-1) sequence constraints at a fixed tau."""
+    """Exact min over all N^(M-1) sequence constraints at a fixed tau;
+    refuses the shapes :func:`upper_bound` refuses, before it enumerates."""
     tvec = tuple(as_fraction(v) for v in tau)
     if len(tvec) != mu.N:
         raise ValueError(f"tau has {len(tvec)} entries, profile has {mu.N}")
@@ -212,7 +212,13 @@ def outer_bound_at(weights: Sequence[tuple[SequenceVector, RationalLike]], mu: E
 
 def _pool(M: int, N: int, mu: EavesdropProfile) -> list[Form]:
     """Deduplicated constraint pool of :func:`upper_bound`: the distinct
-    coefficient forms in first-seen (enumeration) order."""
+    coefficient forms in first-seen (enumeration) order.  Refuses M or N
+    below 1, a profile not over N databases and an over-budget N^(M-1)."""
+    if M < 1 or N < 1:
+        raise ValueError("need M >= 1 and N >= 1")
+    if mu.N != N:
+        raise ValueError(f"profile covers {mu.N} databases, expected {N}")
+    check_enumeration_budget("N^(M-1)", N ** (M - 1), "sequences")
     return list(dict.fromkeys(constraint_coefficients(n_vec, mu) for n_vec in sequence_vectors(M, N)))
 
 
@@ -220,12 +226,12 @@ def _pool(M: int, N: int, mu: EavesdropProfile) -> list[Form]:
 # Exact restricted simplex
 # ---------------------------------------------------------------------------
 
-def _solve_restricted(
-    forms: Sequence[Form],
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _solve_restricted(forms: Sequence[Form]) -> tuple[int, int, list[int], list[int]]:
     """Exact optimum of: max R s.t. R <= c_j . tau for all j, tau in simplex,
     with each c_j given in integer form (a_j, D_j), c_j = a_j / D_j.
-    Returns the value, tau and one dual weight per constraint.
+    Returns (det, r, t, y) over the final tableau's one denominator det > 0:
+    the value is r / det, tau = t / det with sum(t) == det, and the dual
+    weight of constraint j is y[j] / det.
 
     Full-tableau primal simplex with Bland's rule (which guarantees
     termination under degeneracy), kept fraction-free: the tableau is an
@@ -301,15 +307,14 @@ def _solve_restricted(
             raise ArithmeticError("restricted program unbounded; constraints malformed")
         step(leave, enter)
 
-    tau = [Fraction(0)] * N
-    value = Fraction(0)
+    t = [0] * N
+    r = 0
     for i, var in enumerate(basis):
         if var < N:
-            tau[var] = Fraction(T[i][rhs], det)
+            t[var] = T[i][rhs]
         elif var == N:
-            value = Fraction(T[i][rhs], det)
-    weights = tuple(Fraction(D * T[nrows][N + 1 + j], det) for j, (_, D) in enumerate(forms))
-    return value, tuple(tau), weights
+            r = T[i][rhs]
+    return det, r, t, [D * T[nrows][N + 1 + j] for j, (_, D) in enumerate(forms)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,44 +331,34 @@ def upper_bound(M: int, N: int, mu: EavesdropProfile) -> BoundResult:
     The final tableau's dual weights come with it; :func:`outer_bound_at`
     checks them.
 
-    Each round's pricing packs the pool into lanes of whole 64-bit words,
-    sized from max(a) * T and widened only when a round needs more; it
-    takes the least key (a . t << 64) // D, then compares the forms that
-    share it exactly, keeping the first in pool order.  The last round's
-    minimizers are the constraints tight at the optimum.
+    Every round stays in integers.  The simplex gives the value r / det
+    and tau = t / det; the pool is priced in lanes (:class:`_Pricer`) at
+    t / g, g = gcd(t), which is tau over its least denominator, and the
+    round stops when the cheapest a . (t / g) / D meets the value, that
+    is when g * (a . t / g) == r * D.  Fractions are made once, for the
+    result.
     """
-    if M < 1 or N < 1:
-        raise ValueError("need M >= 1 and N >= 1")
-    if mu.N != N:
-        raise ValueError(f"profile covers {mu.N} databases, expected {N}")
-    check_enumeration_budget("N^(M-1)", N ** (M - 1), "sequences")
     pool = _pool(M, N, mu)
     pricer = _Pricer(pool)
     work = list(dict.fromkeys(constraint_coefficients((j,) * (M - 1), mu) for j in range(1, N + 1)))
 
-    # price every constraint at tau = t/T on integers: (a . t) / (D * T)
     while True:
-        value, tau, weights = _solve_restricted(work)
-        T = lcm(*(v.denominator for v in tau))
-        t = [v.numerator * (T // v.denominator) for v in tau]
-        best_num, best_den, ties = pricer.cheapest(t)
-        if best_num * value.denominator == value.numerator * best_den * T:
+        det, r, t, y = _solve_restricted(work)
+        g = gcd(*t)  # divides sum(t) == det, so t / g is tau over its least denominator
+        num, D, j = pricer.cheapest([v // g for v in t])
+        if g * num == r * D:
             break
-        work.append(pool[ties[0]])
+        work.append(pool[j])
 
-    # the last round's minimizers are the forms tight at tau.  By
-    # complementary slackness every support constraint is tight, so only
-    # tight sequences look it up; each support form keeps its first sequence.
-    tight = {pool[j] for j in ties}
-    support = {form: w for form, w in zip(work, weights) if w}
-    active, duals = [], []
+    # each support form is named by its first sequence in enumeration order
+    support = {form: w for form, w in zip(work, y) if w}
+    duals = []
     for n_vec in sequence_vectors(M, N):
         form = constraint_coefficients(n_vec, mu)
-        if form in tight:
-            active.append(n_vec)
-            if form in support:
-                duals.append((n_vec, support.pop(form)))
-    return BoundResult(value=value, argmax_tau=tau, active_sequences=tuple(active), dual_weights=tuple(duals))
+        if form in support:
+            duals.append((n_vec, Fraction(support.pop(form), det)))
+    return BoundResult(value=Fraction(r, det), argmax_tau=tuple(Fraction(v, det) for v in t),
+                       dual_weights=tuple(duals))
 
 
 # ---------------------------------------------------------------------------

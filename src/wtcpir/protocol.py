@@ -122,7 +122,7 @@ def _lane_width(k: int, M: int, q: int) -> int:
     for keys of at most k symbols and M messages over GF(q).
 
     An answer lane sums at most k(q−1)² of noise and M(q−1) of message
-    terms (a query names each message at most once); ``pack`` reduces
+    terms (a query names each message at most once); ``decode`` reduces
     given answers below q.  Stripping the noise adds k·q(q−1), a multiple
     of q not below the noise it subtracts, so a stripped lane lies in
     [0, s) with s = (2k(q−1) + M)·q.  A desired-bearing query has at most
@@ -159,8 +159,9 @@ class _Wire:
     A batch of r answer sets travels as lanes, ``(r, rows)``:
     ``rows[d-1][i]`` is one int whose lane j (bits j·W up, W = ``width``)
     holds set j's answer to database d's query i.  ``answer`` draws and
-    answers a batch, ``pack`` packs given answer sets, and ``decode``
-    strips the noise from every lane and returns each set's message.
+    answers a batch, and ``decode`` strips the noise from every lane and
+    returns each set's message.  One given answer set is the batch
+    ``(1, rows)``, its answers reduced mod q.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
@@ -234,25 +235,6 @@ class _Wire:
             rows.append([sum(map(mul, gen[slot], key)) + sum(map(flat.__getitem__, idx))
                          for slot, idx in zip(slots, terms)])
         return len(stores), rows
-
-    def pack(self, batch: Sequence[Sequence[Sequence[int]]]) -> _Lanes:
-        """The answer sets in ``batch`` (one answer row per database, one
-        answer per query) as lanes, each answer reduced mod q.  Every
-        set's row count, then per database every set's answer count, is
-        checked first."""
-        plan = self.plan
-        for answers in batch:
-            if len(answers) != plan.N:
-                raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
-        q, w = plan.q, self.width
-        rows = []
-        for d, (*_, slots, _, _) in enumerate(self.dbs, start=1):
-            got = [answers[d - 1] for answers in batch]
-            for row in got:
-                if len(row) != len(slots):
-                    raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
-            rows.append([_pack([row[i] % q for row in got], w) for i in range(len(slots))])
-        return len(batch), rows
 
     def decode(self, lanes: _Lanes) -> list[tuple[int, ...]]:
         """The desired message of each set in ``lanes``.  Per keyed
@@ -347,7 +329,14 @@ def decode(plan: QueryPlan, answers: Sequence[Sequence[int]]) -> tuple[int, ...]
         missing/unresolvable (an internal error for honest plans).
     """
     wire = _Wire(plan)
-    return wire.decode(wire.pack([answers]))[0]
+    if len(answers) != plan.N:
+        raise ValueError(f"{len(answers)} answer rows for {plan.N} databases")
+    rows = []
+    for d, (row, (*_, slots, _, _)) in enumerate(zip(answers, wire.dbs), start=1):
+        if len(row) != len(slots):
+            raise ValueError(f"db {d}: {len(row)} answers for {len(slots)} queries")
+        rows.append([v % plan.q for v in row])
+    return wire.decode((1, rows))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +354,19 @@ def audit_privacy(plans: Sequence[QueryPlan]) -> dict:
     message set of ``signature_diff`` between the two, with both counts;
     the structure audit names its findings through the same diff, in the
     same order.
+
+    Raises ``ValueError`` if ``plans`` is empty or some plan's M or N
+    differs from the first plan's.
     """
+    if not plans:
+        raise ValueError("audit_privacy needs at least one plan")
+    M, N = plans[0].M, plans[0].N
+    for plan in plans[1:]:
+        if (plan.M, plan.N) != (M, N):
+            raise ValueError(f"plans differ in shape: the first has (M, N) = ({M}, {N}), "
+                             f"the plan for message {plan.desired} ({plan.M}, {plan.N})")
     entries = []
-    for d in range(1, plans[0].N + 1):
+    for d in range(1, N + 1):
         first, diff = plans[0].signatures[d - 1], None
         for plan in plans[1:]:
             sig = plan.signatures[d - 1]

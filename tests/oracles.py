@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 
 
 def classic_rate(M: int, N: int) -> Fraction:
@@ -185,6 +185,29 @@ def prefix_coefficients(n_vec, mu) -> tuple[Fraction, ...]:
         share = sum(iv for l, iv in zip(thresholds, invs) if l < d)
         coeffs.append((1 - Fraction(m)) * share / total)
     return tuple(coeffs)
+
+
+def tight_sequences(M: int, N: int, mu, tau, value) -> tuple[tuple[int, ...], ...]:
+    """Every sequence whose bound at tau equals ``value``, in lexicographic
+    order: the tight set at an LP optimum.  The bound of sequence n is
+    [sum_i phi(l_i)/P_i] / [sum_i 1/P_i] with phi(l) = sum_{d>l} (1 - mu_d)
+    tau_d (thresholds and prefix products as in ``prefix_coefficients``);
+    both sums are compared in integers, over a common denominator for
+    phi and ``value`` and with the weights P_{M-1}/P_i."""
+    phi = [sum((1 - Fraction(m)) * t for m, t in zip(mu[l:], tau[l:])) for l in range(N + 1)]
+    den = lcm(value.denominator, *(p.denominator for p in phi))
+    Phi = [p.numerator * (den // p.denominator) for p in phi]
+    V = value.numerator * (den // value.denominator)
+    tight = []
+    for n in product(range(1, N + 1), repeat=M - 1):
+        w, A, B = 1, 0, 0
+        for v in reversed(n):
+            A += Phi[v] * w
+            B += w
+            w *= v
+        if A + Phi[0] * w == V * (B + w):
+            tight.append(n)
+    return tuple(tight)
 
 
 def cheapest_by_forms(forms, t) -> tuple[int, int, int]:

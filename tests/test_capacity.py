@@ -27,6 +27,7 @@ from oracles import (
     classic_rate,
     fraction_simplex,
     prefix_coefficients,
+    tight_sequences,
     ub32,
     vertex_enumeration,
 )
@@ -42,12 +43,14 @@ def rand_mu(rng: random.Random, N: int) -> EavesdropProfile:
 
 def assert_certified(res, mu: EavesdropProfile, M: int) -> None:
     """Both halves of the bound's certificate: argmax_tau reaches the value,
-    and at most N tight constraints, weighted by the dual weights, show
-    that no tau exceeds it."""
+    and at most N constraints, each tight at argmax_tau and weighted by the
+    dual weights, show that no tau exceeds it."""
     assert inner_bound_at(res.argmax_tau, mu, M) == res.value, (M, mu.mu)
     assert outer_bound_at(res.dual_weights, mu) == res.value, (M, mu.mu)
     assert len(res.dual_weights) <= mu.N, (M, mu.mu)
-    assert {n_vec for n_vec, _ in res.dual_weights} <= set(res.active_sequences), (M, mu.mu)
+    for n_vec, _ in res.dual_weights:
+        c = prefix_coefficients(n_vec, mu.mu)
+        assert sum(x * y for x, y in zip(c, res.argmax_tau)) == res.value, (M, mu.mu, n_vec)
 
 
 def test_constraint_coefficients_worked_values():
@@ -104,7 +107,7 @@ def test_upper_bound_worked_example():
     res = upper_bound(3, 2, WORKED_MU)
     assert res.value == Fraction(6, 17)
     assert res.argmax_tau == (Fraction(8, 17), Fraction(9, 17))
-    assert set(res.active_sequences) == {(1, 2), (2, 2)}
+    assert tight_sequences(3, 2, WORKED_MU.mu, res.argmax_tau, res.value) == ((1, 2), (2, 2))
     assert res.dual_weights == (((1, 2), Fraction(10, 17)), ((2, 2), Fraction(7, 17)))
     # the returned vertex and dual weights really certify the value
     assert_certified(res, WORKED_MU, 3)
@@ -148,7 +151,8 @@ def test_both_routes_agree():
     # the final tableau's dual weights sit on the one tight constraint
     tie = EavesdropProfile([0, "1/2", "1/2"])
     a = upper_bound(2, 3, tie)
-    assert (a.value, a.argmax_tau, a.active_sequences) == (Fraction(1, 2), (1, 0, 0), ((1,),))
+    assert (a.value, a.argmax_tau) == (Fraction(1, 2), (1, 0, 0))
+    assert tight_sequences(2, 3, tie.mu, a.argmax_tau, a.value) == ((1,),)
     assert a.dual_weights == (((1,), 1),)
     assert_certified(a, tie, 2)
     assert vertex_enumeration(2, 3, tie.mu) == (a.value, (Fraction(1, 3),) * 3)
@@ -160,14 +164,14 @@ def test_upper_bound_golden_where_scheme_falls_short():
     res = upper_bound(5, 4, mu)
     assert res.value == Fraction(2688, 4393)
     assert res.argmax_tau == tuple(Fraction(v, 4393) for v in (910, 1008, 1152, 1323))
-    assert res.active_sequences == (
+    assert tight_sequences(5, 4, mu.mu, res.argmax_tau, res.value) == (
         (1, 3, 4, 4), (1, 4, 4, 4), (2, 3, 4, 4), (2, 4, 4, 4), (3, 3, 4, 4), (3, 4, 4, 4),
     )
     assert_certified(res, mu, 5)
     res = upper_bound(6, 4, mu)
     assert res.value == Fraction(10752, 17593)
     assert res.argmax_tau == tuple(Fraction(v, 17593) for v in (3598, 4032, 4608, 5355))
-    assert res.active_sequences == (
+    assert tight_sequences(6, 4, mu.mu, res.argmax_tau, res.value) == (
         (1, 3, 4, 4, 4), (1, 4, 4, 4, 4), (2, 3, 4, 4, 4),
         (2, 4, 4, 4, 4), (3, 3, 4, 4, 4), (3, 4, 4, 4, 4),
     )
@@ -175,7 +179,7 @@ def test_upper_bound_golden_where_scheme_falls_short():
     res = upper_bound(7, 4, mu)
     assert res.value == Fraction(43008, 70393)
     assert res.argmax_tau == tuple(Fraction(v, 70393) for v in (14350, 16128, 18432, 21483))
-    assert res.active_sequences == (
+    assert tight_sequences(7, 4, mu.mu, res.argmax_tau, res.value) == (
         (1, 3, 4, 4, 4, 4), (1, 4, 4, 4, 4, 4), (2, 3, 4, 4, 4, 4),
         (2, 4, 4, 4, 4, 4), (3, 3, 4, 4, 4, 4), (3, 4, 4, 4, 4, 4),
     )
@@ -190,8 +194,9 @@ LADDER_FAMILY = (MU_STAR, ("1/12", "1/3", "5/12", "2/3"), ("0", "1/2", "7/12", "
 
 
 def test_lp_results_match_golden_digest():
-    # every LP result field, pinned bit for bit: a change to how the pool,
-    # the pricing or the simplex is built must not move any of them
+    # every LP result field, pinned bit for bit, with the sequences tight
+    # at argmax_tau: a change to how the pool, the pricing or the simplex
+    # is built must not move any of them
     programs = [(M, N, EavesdropProfile(mu)) for mu in LADDER_FAMILY for M, N in ((5, 4), (6, 4), (7, 4))]
     rng = random.Random(47)
     for _ in range(120):
@@ -202,32 +207,10 @@ def test_lp_results_match_golden_digest():
         res = upper_bound(M, N, mu)
         h.update(repr((
             M, N, tuple(map(str, mu.mu)), str(res.value), tuple(map(str, res.argmax_tau)),
-            res.active_sequences, tuple((n_vec, str(w)) for n_vec, w in res.dual_weights),
+            tight_sequences(M, N, mu.mu, res.argmax_tau, res.value),
+            tuple((n_vec, str(w)) for n_vec, w in res.dual_weights),
         )).encode() + b"\n")
     assert h.hexdigest()[:16] == "72d812271651a732"
-
-
-def minimizers(forms, t) -> tuple[int, int, list[int]]:
-    """cheapest_by_forms with every minimizing index, in order."""
-    num, den, _ = cheapest_by_forms(forms, t)
-    return num, den, [j for j, (a, D) in enumerate(forms)
-                      if sum(x * y for x, y in zip(a, t)) * den == num * D]
-
-
-class OraclePricer:
-    """capacity._Pricer's interface over the per-form oracle."""
-
-    def __init__(self, forms):
-        self.forms = forms
-
-    def cheapest(self, t):
-        return minimizers(self.forms, t)
-
-
-def assert_prices_like_oracle(forms, t, got) -> None:
-    num, den, ties = got
-    assert (num, den, ties[0]) == cheapest_by_forms(forms, t), t
-    assert got == minimizers(forms, t), t
 
 
 def test_pricer_matches_oracle_on_every_ladder_round(monkeypatch):
@@ -236,7 +219,7 @@ def test_pricer_matches_oracle_on_every_ladder_round(monkeypatch):
     class Checked(capacity._Pricer):
         def cheapest(self, t):
             got = super().cheapest(t)
-            assert_prices_like_oracle(self.forms, t, got)
+            assert got == cheapest_by_forms(self.forms, t), t
             rounds.append(t)
             return got
 
@@ -260,13 +243,13 @@ def test_pricer_matches_oracle_at_random_t():
         # word per lane to three: it repacks only when a round needs more
         for t_bits in rng.sample((1, 8, 30, 64, 90), 3):
             t = [rng.randrange(1 << t_bits) for _ in range(N - 1)] + [1 << t_bits]
-            assert_prices_like_oracle(forms, t, pricer.cheapest(t))
+            assert pricer.cheapest(t) == cheapest_by_forms(forms, t), t
 
 
 def test_pricer_ties():
-    # equal ratios at different indices: the first wins and all are tight
+    # equal ratios at indices 1, 2 and 4: the first wins
     forms = [((4, 4), 5), ((3, 1), 4), ((1, 1), 2), ((5, 5), 8), ((2, 6), 8)]
-    assert capacity._Pricer(forms).cheapest((1, 1)) == (4, 4, [1, 2, 4])
+    assert capacity._Pricer(forms).cheapest((1, 1)) == (4, 4, 1) == cheapest_by_forms(forms, (1, 1))
     # equal keys (a . t << 64) // D but different ratios: 2^62 / (3 * 2^62 - 1)
     # lies above 1/3 by less than 2^-64, in one-word lanes, and
     # 2^64 / (2^64 + 1) above 1 - 2^-64, in two-word lanes
@@ -275,8 +258,8 @@ def test_pricer_ties():
         assert (big[0][0] << 64) // big[1] == (small[0][0] << 64) // small[1]
         for forms in ([big, small], [small, big], [big, small, big, small]):
             got = capacity._Pricer(forms).cheapest((1,))
-            assert_prices_like_oracle(forms, (1,), got)
-            assert [forms[j] for j in got[2]] == [small] * forms.count(small)
+            assert got == cheapest_by_forms(forms, (1,))
+            assert got[2] == forms.index(small)
 
 
 def test_upper_bound_multiword_lanes(monkeypatch):
@@ -289,6 +272,8 @@ def test_upper_bound_multiword_lanes(monkeypatch):
     class Recorded(capacity._Pricer):
         def cheapest(self, t):
             ret = super().cheapest(t)
+            # every round prices like the per-form oracle, so the bound does too
+            assert ret == cheapest_by_forms(self.forms, t), t
             # the words max(a) * sum(t) needs this round, and the lanes' words
             rounds.append((-(-(self.top * sum(t)).bit_length() // 64), self.words))
             return ret
@@ -301,9 +286,6 @@ def test_upper_bound_multiword_lanes(monkeypatch):
         assert {need for need, _ in rounds} == needs, (M, mu.mu)
         assert {words for _, words in rounds} == {max(needs)}, (M, mu.mu)
         assert_certified(res, mu, M)
-        with monkeypatch.context() as m:
-            m.setattr(capacity, "_Pricer", OraclePricer)
-            assert upper_bound(M, 4, mu) == res, (M, mu.mu)
 
 
 def _outcome(solve, program):
@@ -311,6 +293,14 @@ def _outcome(solve, program):
         return solve(program)
     except Exception as exc:  # the two solvers must fail alike, too
         return type(exc), str(exc)
+
+
+def _scaled(forms):
+    """capacity._solve_restricted's (det, r, t, y) as the Fraction oracle's
+    (value, tau, dual weights)."""
+    det, r, t, y = capacity._solve_restricted(forms)
+    assert det > 0 and sum(t) == det, (det, t)
+    return Fraction(r, det), tuple(Fraction(v, det) for v in t), tuple(Fraction(v, det) for v in y)
 
 
 def test_integer_simplex_matches_fraction_oracle(monkeypatch):
@@ -330,9 +320,10 @@ def test_integer_simplex_matches_fraction_oracle(monkeypatch):
         recorded.append(forms)
         return solve(forms)
 
-    monkeypatch.setattr(capacity, "_solve_restricted", record)
-    upper_bound(5, 4, EavesdropProfile(MU_STAR))
-    upper_bound(6, 4, EavesdropProfile(MU_STAR))
+    with monkeypatch.context() as m:
+        m.setattr(capacity, "_solve_restricted", record)
+        upper_bound(5, 4, EavesdropProfile(MU_STAR))
+        upper_bound(6, 4, EavesdropProfile(MU_STAR))
     assert len(recorded) > 2
     programs += [[[Fraction(v, D) for v in a] for a, D in forms] for forms in recorded]
     for cvecs in programs:
@@ -341,13 +332,13 @@ def test_integer_simplex_matches_fraction_oracle(monkeypatch):
         for cv in cvecs:
             D = lcm(*(v.denominator for v in cv))
             forms.append((tuple(v.numerator * (D // v.denominator) for v in cv), D))
-        assert _outcome(solve, forms) == _outcome(fraction_simplex, cvecs), cvecs
+        assert _outcome(_scaled, forms) == _outcome(fraction_simplex, cvecs), cvecs
     # a degenerate ratio tie: the lowest-basis-index rule picks the leaving
     # row, and with it the optimal vertex (the other row ends at tau = e_2);
     # row 1 is over 12, not its lcm 2, which must change nothing
     tie = [((0, 24, 18, 24), 12), ((1, 3, 3, 0), 12), ((1, 3, 36, 0), 12)]
     want = (Fraction(1, 4), (0, 0, 1, 0), (0, 1, 0))
-    assert solve(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
+    assert _scaled(tie) == fraction_simplex([[Fraction(v, D) for v in a] for a, D in tie]) == want
 
 
 def test_closed_form_capacity_matches_oracles():
@@ -386,10 +377,20 @@ def test_gap_zero_small_and_soundness():
         assert lb <= ub
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
     mu = EavesdropProfile([0] * 5)
     with pytest.raises(EnumerationBudgetError, match="enumeration too large"):
         upper_bound(10, 5, mu)
+    # inner_bound_at refuses what upper_bound refuses, before it builds a
+    # constraint: 4^11 sequences at (12,4), and M < 1
+    with monkeypatch.context() as m:
+        m.setattr(capacity, "constraint_coefficients", None)
+        star = EavesdropProfile(MU_STAR)
+        with pytest.raises(EnumerationBudgetError, match=r"^enumeration too large: N\^\(M-1\) = 4194304 "):
+            inner_bound_at(("1/4",) * 4, star, 12)
+        for M in (0, -1):
+            with pytest.raises(ValueError, match="^need M >= 1 and N >= 1$"):
+                inner_bound_at(("1/4",) * 4, star, M)
     # the scheme search is refused before it enumerates, with the error
     # that capacity and the package export
     assert wtcpir.EnumerationBudgetError is EnumerationBudgetError is schemes.EnumerationBudgetError

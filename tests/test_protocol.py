@@ -244,6 +244,18 @@ def test_audit_privacy_pass_and_report_shape():
     assert all(e["first_difference"] is None for e in report["databases"])
 
 
+def test_audit_privacy_refuses_empty_and_mismatched_plans():
+    with pytest.raises(ValueError, match="^audit_privacy needs at least one plan$"):
+        audit_privacy([])
+    n3 = build_plan(3, 3, (1, 2, 3), EavesdropProfile(["0", "1/4", "1/2"]), desired=1, seed=7)
+    m4 = build_plan(4, 2, (1, 1, 2, 2), WORKED_MU, desired=2, seed=7)
+    for plans, want in (([n3, worked_plan(desired=2)], r"\(3, 3\), the plan for message 2 \(3, 2\)$"),
+                        ([worked_plan(desired=1), n3], r"\(3, 2\), the plan for message 1 \(3, 3\)$"),
+                        ([worked_plan(desired=1), m4], r"\(3, 2\), the plan for message 2 \(4, 2\)$")):
+        with pytest.raises(ValueError, match="^plans differ in shape: the first has \\(M, N\\) = " + want):
+            audit_privacy(plans)
+
+
 def test_audit_decodability_pass():
     report = audit_decodability(worked_plan(), trials=30, seed=5)
     assert report["status"] == "PASS"
@@ -438,10 +450,9 @@ def test_batched_decode_equals_decodes_of_one(plan):
     assert decoded == [wire.decode(wire.answer([store], [seed]))[0]
                        for store, seed in zip(stores, seeds)]
     assert decoded == [store.messages[plan.desired - 1] for store in stores]
-    # given answer sets decode through the same lanes
-    batch = [run_retrieval(plan, store, seed).answers for store, seed in zip(stores, seeds)]
-    assert wire.decode(wire.pack(batch)) == decoded
-    assert wire.decode(wire.pack([])) == []
+    # given answer sets, one by one, decode to the same messages
+    given = [run_retrieval(plan, store, seed).answers for store, seed in zip(stores, seeds)]
+    assert [decode(plan, answers) for answers in given] == decoded
 
 
 def _lane(lanes, j, width, q):
@@ -494,13 +505,15 @@ def test_decodability_trials_share_one_solve_per_keyed_database(monkeypatch):
 
 
 def test_batched_decode_checks_every_set():
+    # decode checks its answer set's row count, then each row's answer count
     plan = worked_plan()
-    wire = _Wire(plan)
     good = run_retrieval(plan, random_store(3, plan.dims.L, plan.q, seed=1), key_seed=2).answers
     with pytest.raises(ValueError, match=r"^1 answer rows for 2 databases$"):
-        wire.pack([good, good[:1]])
+        decode(plan, good[:1])
+    with pytest.raises(ValueError, match=r"^1 answer rows for 2 databases$"):
+        decode(plan, [good[0][:3]])
     with pytest.raises(ValueError, match="^db 2: 3 answers for 18 queries$"):
-        wire.pack([good, [good[0], good[1][:3]]])
+        decode(plan, [good[0], good[1][:3]])
 
 
 def test_security_witness_with_full_rank_raises(monkeypatch):
